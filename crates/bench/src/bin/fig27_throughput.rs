@@ -2,8 +2,8 @@
 //! *simulator itself* runs, as a machine-readable `BENCH_fig27.json`
 //! artifact.
 //!
-//! Sweeps FTL × shard count × execution backend over the same warmed QD16
-//! random-read protocol and records, per configuration:
+//! Sweeps FTL × shard count over the same warmed QD16 random-read
+//! protocol and records, per configuration:
 //!
 //! * host requests simulated per wall-clock second (untraced, best of
 //!   [`TIMING_REPS`] freshly prepared runs — [`harness::SelfProfile`]),
@@ -17,8 +17,7 @@
 //! artifact embeds its own self-consistency verdicts instead of promising
 //! byte stability: the traced run must reproduce the untraced run's
 //! simulated-time results exactly (tracing must observe, not perturb), the
-//! threaded backend must reproduce the simulated backend's, the recorded
-//! event count must match the trace length, and every rate must be finite.
+//! recorded event count must match the trace length, and every rate must be finite.
 //! `metrics::validate_bench_artifact` re-checks the written artifact (shape,
 //! bounds, and that every verdict is `true`); the binary exits non-zero if
 //! any check failed. CI runs `--quick` and uploads the artifact so later
@@ -45,7 +44,7 @@ const TIMING_REPS: usize = 2;
 
 /// The quick preset's per-stream count is sized for simulated-time smoke
 /// checks; a wall-clock rate needs enough requests that the measured loop
-/// dominates start-up (same floor as the fig25 wall-clock figure).
+/// dominates start-up.
 fn throughput_scale(scale: Scale) -> ExperimentScale {
     let mut experiment = scale.experiment();
     experiment.ops_per_stream = experiment.ops_per_stream.max(2_000);
@@ -54,8 +53,8 @@ fn throughput_scale(scale: Scale) -> ExperimentScale {
 
 /// One identically prepared frontend + measured workload.
 /// `charge_training_time(false)` keeps LearnedFTL's simulated time a pure
-/// function of the workload, which the traced-vs-untraced and
-/// simulated-vs-threaded equivalence checks require.
+/// function of the workload, which the traced-vs-untraced equivalence check
+/// requires.
 fn setup(
     kind: FtlKind,
     shards: usize,
@@ -76,13 +75,6 @@ fn setup(
     )
 }
 
-fn backend_label(workers: Option<usize>) -> &'static str {
-    match workers {
-        None => "simulated",
-        Some(_) => "threaded",
-    }
-}
-
 /// Simulated-time equality between two runs of the same configuration (the
 /// wall clock is the only thing allowed to differ).
 fn same_results(a: &ShardedRunResult, b: &ShardedRunResult) -> bool {
@@ -98,7 +90,6 @@ fn same_results(a: &ShardedRunResult, b: &ShardedRunResult) -> bool {
 /// One row of the artifact's `runs` array.
 struct BenchRun {
     ftl: String,
-    backend: &'static str,
     shards: usize,
     requests: u64,
     sim_elapsed_ns: u64,
@@ -119,13 +110,12 @@ impl BenchRun {
 
     fn to_json(&self) -> String {
         format!(
-            "{{\"ftl\":\"{}\",\"backend\":\"{}\",\"shards\":{},\"requests\":{},\
+            "{{\"ftl\":\"{}\",\"shards\":{},\"requests\":{},\
              \"sim_elapsed_ns\":{},\"wall_s\":{:.6},\"requests_per_sec\":{:.3},\
              \"traced_wall_s\":{:.6},\"trace_events\":{},\"events_per_sec\":{:.3},\
              \"checks\":{{\"traced_matches_untraced\":{},\
              \"profile_counts_trace\":{},\"rates_finite\":{}}}}}",
             self.ftl,
-            self.backend,
             self.shards,
             self.requests,
             self.sim_elapsed_ns,
@@ -141,12 +131,7 @@ impl BenchRun {
     }
 }
 
-fn artifact_json(
-    scale: Scale,
-    cores: usize,
-    runs: &[BenchRun],
-    backends_equivalent: bool,
-) -> String {
+fn artifact_json(scale: Scale, cores: usize, runs: &[BenchRun]) -> String {
     let mut out = String::new();
     out.push_str(&format!(
         "{{\"schema\":\"{}\",\"bench\":\"fig27_throughput\",\"scale\":\"{}\",\
@@ -175,8 +160,7 @@ fn artifact_json(
         out.push_str(&run.to_json());
     }
     out.push_str(&format!(
-        "],\"checks\":{{\"all_backends_equivalent\":{},\"all_runs_checked\":{}}}}}\n",
-        backends_equivalent,
+        "],\"checks\":{{\"all_runs_checked\":{}}}}}\n",
         runs.iter().all(BenchRun::checks_pass),
     ));
     out
@@ -193,9 +177,8 @@ fn main() {
         .unwrap_or(1);
     print_header(
         "Fig. 27 (extension) — simulator throughput (BENCH artifact)",
-        "requests/s and trace events/s of wall clock per FTL x shards x backend; \
-         the traced run must reproduce the untraced run exactly and the threaded \
-         backend must reproduce the simulated one",
+        "requests/s and trace events/s of wall clock per FTL x shards; \
+         the traced run must reproduce the untraced run exactly",
         scale,
     );
     println!(
@@ -206,12 +189,10 @@ fn main() {
     println!();
 
     let mut runs: Vec<BenchRun> = Vec::new();
-    let mut backends_equivalent = true;
     let mut analysis_source: Option<ShardedRunResult> = None;
     let mut table = Table::new(vec![
         "FTL",
         "shards",
-        "backend",
         "wall (s)",
         "req/s",
         "traced wall (s)",
@@ -221,105 +202,75 @@ fn main() {
 
     for &kind in &KINDS {
         for &shards in &SHARD_COUNTS {
-            // Worker threads match the shard count: one worker per shard is
-            // the backend's intended operating point, and shards=1 exposes
-            // the pure channel/dispatch overhead.
-            let mut reference: Option<ShardedRunResult> = None;
-            for &workers in &[None, Some(shards)] {
-                // Untraced: best-of-reps wall clock for the request rate.
-                let mut best: Option<ShardedRunResult> = None;
-                for _ in 0..TIMING_REPS {
-                    alloc_profile::set_phase(Phase::Warmup);
-                    let (mut ftl, mut wl) = setup(kind, shards, device, experiment);
-                    alloc_profile::set_phase(Phase::Run);
-                    let run = match workers {
-                        None => Runner::new().run_sharded_qd(&mut ftl, &mut wl, DEPTH),
-                        Some(n) => Runner::new().run_threaded_qd(&mut ftl, &mut wl, DEPTH, n),
-                    };
-                    alloc_profile::set_phase(Phase::Setup);
-                    best = match best {
-                        Some(b) if b.result.profile.wall <= run.result.profile.wall => Some(b),
-                        _ => Some(run),
-                    };
-                }
-                let untraced = best.expect("TIMING_REPS >= 1");
-                match &reference {
-                    None => reference = Some(untraced.clone()),
-                    Some(r) => {
-                        if !same_results(r, &untraced) {
-                            eprintln!(
-                                "EQUIVALENCE VIOLATION: {kind} shards={shards} threaded \
-                                 diverged from simulated"
-                            );
-                            backends_equivalent = false;
-                        }
-                    }
-                }
-
-                // Traced: one run for the event rate and the
-                // tracing-does-not-perturb check.
+            // Untraced: best-of-reps wall clock for the request rate.
+            let mut best: Option<ShardedRunResult> = None;
+            for _ in 0..TIMING_REPS {
                 alloc_profile::set_phase(Phase::Warmup);
                 let (mut ftl, mut wl) = setup(kind, shards, device, experiment);
-                ftl.set_tracing(true);
                 alloc_profile::set_phase(Phase::Run);
-                let traced = match workers {
-                    None => Runner::new().run_sharded_qd(&mut ftl, &mut wl, DEPTH),
-                    Some(n) => Runner::new().run_threaded_qd(&mut ftl, &mut wl, DEPTH, n),
-                };
+                let run = Runner::new().run_sharded_qd(&mut ftl, &mut wl, DEPTH);
                 alloc_profile::set_phase(Phase::Setup);
-
-                let traced_matches_untraced = same_results(&untraced, &traced);
-                if !traced_matches_untraced {
-                    eprintln!(
-                        "TRACING PERTURBED THE RUN: {kind} shards={shards} \
-                         backend={}",
-                        backend_label(workers)
-                    );
-                }
-                let profile_counts_trace = traced.result.profile.trace_events
-                    == traced.result.trace.len() as u64
-                    && traced.result.profile.requests == traced.result.requests;
-                let untraced_profile = untraced.result.profile;
-                let traced_profile = traced.result.profile;
-                let rates = [
-                    untraced_profile.requests_per_sec(),
-                    traced_profile.events_per_sec(),
-                ];
-                let rates_finite = rates.iter().all(|r| r.is_finite() && *r >= 0.0)
-                    && (untraced_profile.wall.as_secs_f64() <= 0.0 || rates[0] > 0.0);
-
-                let run = BenchRun {
-                    ftl: kind.label().to_string(),
-                    backend: backend_label(workers),
-                    shards,
-                    requests: untraced.result.requests,
-                    sim_elapsed_ns: untraced.result.elapsed.as_nanos(),
-                    wall_s: untraced_profile.wall.as_secs_f64(),
-                    requests_per_sec: untraced_profile.requests_per_sec(),
-                    traced_wall_s: traced_profile.wall.as_secs_f64(),
-                    trace_events: traced_profile.trace_events,
-                    events_per_sec: traced_profile.events_per_sec(),
-                    traced_matches_untraced,
-                    profile_counts_trace,
-                    rates_finite,
+                best = match best {
+                    Some(b) if b.result.profile.wall <= run.result.profile.wall => Some(b),
+                    _ => Some(run),
                 };
-                table.add_row(vec![
-                    run.ftl.clone(),
-                    shards.to_string(),
-                    run.backend.to_string(),
-                    format!("{:.3}", run.wall_s),
-                    format!("{:.0}", run.requests_per_sec),
-                    format!("{:.3}", run.traced_wall_s),
-                    format!("{:.0}", run.events_per_sec),
-                    if run.checks_pass() { "ok" } else { "FAIL" }.to_string(),
-                ]);
-                runs.push(run);
+            }
+            let untraced = best.expect("TIMING_REPS >= 1");
 
-                // The simulated LearnedFTL sweep point at max shards is the
-                // designated `--analyze-out` run (the richest trace).
-                if workers.is_none() && kind == FtlKind::LearnedFtl {
-                    analysis_source = Some(traced);
-                }
+            // Traced: one run for the event rate and the
+            // tracing-does-not-perturb check.
+            alloc_profile::set_phase(Phase::Warmup);
+            let (mut ftl, mut wl) = setup(kind, shards, device, experiment);
+            ftl.set_tracing(true);
+            alloc_profile::set_phase(Phase::Run);
+            let traced = Runner::new().run_sharded_qd(&mut ftl, &mut wl, DEPTH);
+            alloc_profile::set_phase(Phase::Setup);
+
+            let traced_matches_untraced = same_results(&untraced, &traced);
+            if !traced_matches_untraced {
+                eprintln!("TRACING PERTURBED THE RUN: {kind} shards={shards}");
+            }
+            let profile_counts_trace = traced.result.profile.trace_events
+                == traced.result.trace.len() as u64
+                && traced.result.profile.requests == traced.result.requests;
+            let untraced_profile = untraced.result.profile;
+            let traced_profile = traced.result.profile;
+            let rates = [
+                untraced_profile.requests_per_sec(),
+                traced_profile.events_per_sec(),
+            ];
+            let rates_finite = rates.iter().all(|r| r.is_finite() && *r >= 0.0)
+                && (untraced_profile.wall.as_secs_f64() <= 0.0 || rates[0] > 0.0);
+
+            let run = BenchRun {
+                ftl: kind.label().to_string(),
+                shards,
+                requests: untraced.result.requests,
+                sim_elapsed_ns: untraced.result.elapsed.as_nanos(),
+                wall_s: untraced_profile.wall.as_secs_f64(),
+                requests_per_sec: untraced_profile.requests_per_sec(),
+                traced_wall_s: traced_profile.wall.as_secs_f64(),
+                trace_events: traced_profile.trace_events,
+                events_per_sec: traced_profile.events_per_sec(),
+                traced_matches_untraced,
+                profile_counts_trace,
+                rates_finite,
+            };
+            table.add_row(vec![
+                run.ftl.clone(),
+                shards.to_string(),
+                format!("{:.3}", run.wall_s),
+                format!("{:.0}", run.requests_per_sec),
+                format!("{:.3}", run.traced_wall_s),
+                format!("{:.0}", run.events_per_sec),
+                if run.checks_pass() { "ok" } else { "FAIL" }.to_string(),
+            ]);
+            runs.push(run);
+
+            // The LearnedFTL sweep point at max shards is the designated
+            // `--analyze-out` run (the richest trace).
+            if kind == FtlKind::LearnedFtl {
+                analysis_source = Some(traced);
             }
         }
     }
@@ -329,12 +280,8 @@ fn main() {
     print_table_with_verdict(
         &table,
         &format!(
-            "traced==untraced and threaded==simulated on every configuration: {}",
-            if all_checked && backends_equivalent {
-                "yes"
-            } else {
-                "NO"
-            }
+            "traced==untraced on every configuration: {}",
+            if all_checked { "yes" } else { "NO" }
         ),
     );
 
@@ -348,7 +295,7 @@ fn main() {
         .bench_out
         .clone()
         .unwrap_or_else(|| "BENCH_fig27.json".to_string());
-    let json = artifact_json(scale, cores, &runs, backends_equivalent);
+    let json = artifact_json(scale, cores, &runs);
     std::fs::write(&path, &json).expect("writing BENCH artifact failed");
     match metrics::validate_bench_artifact(&json) {
         Ok(summary) => println!(
@@ -376,7 +323,7 @@ fn main() {
             }
         }
     }
-    if !(all_checked && backends_equivalent) {
+    if !all_checked {
         eprintln!("FAIL: self-consistency checks failed");
         std::process::exit(1);
     }

@@ -148,7 +148,7 @@ pub struct BenchArgs {
     /// plane-scaling binary sweep its standard `{1, 2, 4}` set.
     pub planes: u32,
     /// Force the quick (smoke-test) scale regardless of `LEARNEDFTL_SCALE`
-    /// (`--quick`); what CI passes to the wall-clock scaling check.
+    /// (`--quick`); what CI passes to the throughput benchmark.
     pub quick: bool,
     /// Write a Chrome-trace-event JSON of the binary's designated traced run
     /// to this path (`--trace-out PATH`). Open it in Perfetto or

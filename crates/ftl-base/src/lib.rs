@@ -65,10 +65,10 @@ use ssd_sim::{DeviceStats, FlashDevice, SimTime, TraceEvent};
 /// else (latency percentiles, throughput, hit ratios) is derived from those
 /// two timestamps plus [`Ftl::stats`] and the device counters.
 ///
-/// `Send` is a supertrait: the thread-parallel execution backend
-/// (`ftl-shard`'s `run_threaded`) moves exclusive references to shard FTLs
-/// onto worker threads, so every FTL — including `Box<dyn Ftl>` trait
-/// objects — must be transferable across threads. FTLs are plain owned data
+/// `Send` is a supertrait: every FTL — including `Box<dyn Ftl>` trait
+/// objects — must be transferable across threads, so a whole FTL can be
+/// handed to a worker thread that runs one independent experiment
+/// configuration. FTLs are plain owned data
 /// (maps, pools, RNG state), so implementations get this for free; the bound
 /// exists to keep it that way.
 pub trait Ftl: Send {

@@ -24,23 +24,9 @@
 //! transparent wrapper (bit-for-bit identical to the wrapped FTL — enforced
 //! by this crate's tests). The `fig23_shard_scaling` bench sweeps shard
 //! counts against queue depth.
-//!
-//! Two execution backends drive the shards:
-//!
-//! * the *simulated* backend — every shard's engine advanced from the
-//!   calling thread ([`ShardedFtl`]'s `Ftl` impl; what `run_sharded_qd`
-//!   uses),
-//! * the *thread-parallel* backend ([`ShardedFtl::run_threaded`] /
-//!   [`ThreadedDispatcher`]) — each shard's FTL and engine owned by a
-//!   dedicated worker thread, fed batched SQ/CQ-ring submission windows
-//!   over bounded channels ([`RingConfig`] sets the depths), with
-//!   bit-for-bit identical simulated-time results (the workspace
-//!   `threaded_equivalence` suite enforces this).
 
 mod map;
-mod par;
 mod sharded;
 
 pub use map::{ShardMap, ShardSegment};
-pub use par::{ReqId, RingConfig, ThreadedDispatcher};
 pub use sharded::ShardedFtl;

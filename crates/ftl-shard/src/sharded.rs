@@ -41,10 +41,10 @@ use crate::map::ShardMap;
 /// ```
 #[derive(Debug, Clone)]
 pub struct ShardedFtl<F: Ftl> {
-    pub(crate) shards: Vec<F>,
-    pub(crate) map: ShardMap,
-    pub(crate) engines: MultiIssuer,
-    pub(crate) merged: FtlStats,
+    shards: Vec<F>,
+    map: ShardMap,
+    engines: MultiIssuer,
+    merged: FtlStats,
     logical_pages: u64,
 }
 
@@ -158,10 +158,6 @@ impl<F: Ftl> ShardedFtl<F> {
 
     /// Runs one shard-local piece through its engine and folds the shard's
     /// statistics growth into the aggregate.
-    ///
-    /// Dispatches through the [`ssd_sched::ShardEngine`] interface — the
-    /// same seam the thread-parallel backend's worker loop uses — so both
-    /// execution backends drive a shard's engine identically.
     fn run_segment(
         &mut self,
         shard_idx: usize,
@@ -172,8 +168,10 @@ impl<F: Ftl> ShardedFtl<F> {
     ) -> SimTime {
         let shard = &mut self.shards[shard_idx];
         let snap = shard.stats().snapshot();
-        let engine: &mut dyn ssd_sched::ShardEngine = self.engines.engine_mut(shard_idx);
-        let (_, completion) = engine.dispatch(now, &mut |issue| op(shard, local_lpn, pages, issue));
+        let (_, completion) = self
+            .engines
+            .engine_mut(shard_idx)
+            .submit(now, |issue| op(shard, local_lpn, pages, issue));
         self.merged.merge_delta(&snap, shard.stats());
         completion
     }
@@ -277,10 +275,7 @@ impl<F: Ftl> Ftl for ShardedFtl<F> {
     }
 
     /// Collects every shard's trace, tags events with their shard index and
-    /// merges them into one stream, stably sorted by start time. Per-shard
-    /// streams are identical on both execution backends (each shard's device
-    /// is driven by exactly one worker in dispatch order), so the merged
-    /// trace is too.
+    /// merges them into one stream, stably sorted by start time.
     fn take_trace(&mut self) -> Vec<TraceEvent> {
         merge_shard_traces(self.shards.iter_mut().map(|s| s.take_trace()).collect())
     }

@@ -190,9 +190,9 @@ pub fn fio_qd_sharded_run(
 
 /// Builds and warms the sharded frontend of the FIO read protocol and
 /// returns it with the measured workload, for callers that drive (and time)
-/// the measured phase themselves — the wall-clock scaling experiment
-/// (`fig25_wallclock_scaling`) must exclude construction and warm-up from
-/// its measurements. Identical preparation to [`fio_qd_sharded_run`], so
+/// the measured phase themselves — the simulator throughput benchmark
+/// (`fig27_throughput`) must exclude construction and warm-up from its
+/// measurements. Identical preparation to [`fio_qd_sharded_run`], so
 /// runs measured either way are comparable.
 pub fn warmed_sharded_fio_setup(
     kind: FtlKind,
@@ -214,11 +214,11 @@ pub fn warmed_sharded_fio_setup(
 }
 
 /// [`warmed_sharded_fio_setup`] with explicit LearnedFTL parameters.
-/// Cross-backend wall-clock comparisons pass
+/// Run-to-run comparisons pass
 /// [`LearnedFtlConfig::with_charge_training_time`]`(false)`: billing the
 /// trainer's host wall clock into simulated time would make separately
-/// prepared instances diverge, which is exactly what a backend-equivalence
-/// check must not be exposed to.
+/// prepared instances diverge, which is exactly what a determinism check
+/// must not be exposed to.
 #[allow(clippy::too_many_arguments)]
 pub fn warmed_sharded_fio_setup_with(
     kind: FtlKind,
@@ -276,7 +276,7 @@ pub fn fio_qd_traced_run(
 
 /// [`fio_qd_sharded_run`] with structured tracing enabled for the measured
 /// phase (see [`fio_read_traced_run`]); the trace determinism suite compares
-/// this against [`fio_qd_threaded_traced_run`] byte for byte.
+/// two such runs byte for byte.
 #[allow(clippy::too_many_arguments)]
 pub fn fio_qd_sharded_traced_run(
     kind: FtlKind,
@@ -290,68 +290,6 @@ pub fn fio_qd_sharded_traced_run(
     let (mut ftl, mut wl) = warmed_sharded_fio_setup(kind, pattern, threads, shards, device, scale);
     ftl.set_tracing(true);
     Runner::new().run_sharded_qd(&mut ftl, &mut wl, depth)
-}
-
-/// [`fio_qd_threaded_run`] with structured tracing enabled for the measured
-/// phase: per-shard traces are recorded worker-locally and merged after the
-/// run, producing the identical stream to the simulated backend's.
-#[allow(clippy::too_many_arguments)]
-pub fn fio_qd_threaded_traced_run(
-    kind: FtlKind,
-    pattern: FioPattern,
-    threads: usize,
-    depth: usize,
-    shards: usize,
-    workers: usize,
-    device: SsdConfig,
-    scale: ExperimentScale,
-) -> ShardedRunResult {
-    let (mut ftl, mut wl) = warmed_sharded_fio_setup(kind, pattern, threads, shards, device, scale);
-    ftl.set_tracing(true);
-    Runner::new().run_threaded_qd(&mut ftl, &mut wl, depth, workers)
-}
-
-/// [`fio_qd_sharded_run`] on the thread-parallel backend
-/// ([`Runner::run_threaded_qd`]): identical preparation, identical
-/// simulated-time results (the cross-backend equivalence suite pins this),
-/// host wall-clock scaled across `workers` threads.
-#[allow(clippy::too_many_arguments)]
-pub fn fio_qd_threaded_run(
-    kind: FtlKind,
-    pattern: FioPattern,
-    threads: usize,
-    depth: usize,
-    shards: usize,
-    workers: usize,
-    device: SsdConfig,
-    scale: ExperimentScale,
-) -> ShardedRunResult {
-    let (mut ftl, mut wl) = warmed_sharded_fio_setup(kind, pattern, threads, shards, device, scale);
-    Runner::new().run_threaded_qd(&mut ftl, &mut wl, depth, workers)
-}
-
-/// [`fio_open_loop_run`] on the thread-parallel backend
-/// ([`Runner::run_threaded_open_loop`]): open-loop arrivals have no host
-/// feedback, so this is the backend's best wall-clock scaling case.
-#[allow(clippy::too_many_arguments)]
-pub fn fio_open_loop_threaded_run(
-    kind: FtlKind,
-    pattern: FioPattern,
-    threads: usize,
-    shards: usize,
-    workers: usize,
-    mean_interarrival: Duration,
-    device: SsdConfig,
-    scale: ExperimentScale,
-) -> RunResult {
-    let (mut ftl, mut wl) = warmed_sharded_fio_setup(kind, pattern, threads, shards, device, scale);
-    Runner::new().run_threaded_open_loop(
-        &mut ftl,
-        &mut wl,
-        mean_interarrival,
-        OPEN_LOOP_ARRIVAL_SEED,
-        workers,
-    )
 }
 
 /// Warm-up + FIO read phase with *open-loop* Poisson arrivals

@@ -4,7 +4,7 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
 use ftl_base::{Ftl, HostOp, HostRequest};
-use ftl_shard::{ReqId, ShardedFtl, ThreadedDispatcher};
+use ftl_shard::ShardedFtl;
 use metrics::LatencyHistogram;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -16,21 +16,8 @@ use crate::result::{
     RunResult, SelfProfile, ShardLane, ShardedRunResult, TenantLane, TenantRunResult,
 };
 
-/// Per-request bookkeeping of the threaded runners, indexed by [`ReqId`]
-/// (dispatch order — identical to the simulated runner's pop order, so
-/// replaying this log in index order reproduces its recording order).
-struct ThreadedRecord {
-    arrival: SimTime,
-    issue: SimTime,
-    lane: usize,
-    completion: SimTime,
-    write: bool,
-    pages: u32,
-    tenant: u32,
-}
-
 /// One host request's trace bookkeeping, recorded (only while tracing) in
-/// the order requests are popped — the same order on every backend.
+/// the order requests are popped.
 struct HostSpan {
     arrival: SimTime,
     issue: SimTime,
@@ -49,7 +36,7 @@ struct HostSpan {
 
 /// Assembles the run's final trace: the FTL's device/scheduler/GC events,
 /// the GC trigger/complete instants synthesised from [`ftl_base::FtlStats`]
-/// (sorted by time so backend-dependent merge order cannot leak in), and one
+/// (sorted by time so shard merge order cannot leak in), and one
 /// flow-linked host-request span per popped request — stably sorted by start
 /// time, so identical inputs produce byte-identical traces.
 fn assemble_trace(ftl: &mut dyn Ftl, host: &[HostSpan]) -> Vec<TraceEvent> {
@@ -94,56 +81,9 @@ fn assemble_trace(ftl: &mut dyn Ftl, host: &[HostSpan]) -> Vec<TraceEvent> {
     trace
 }
 
-/// One stream of the threaded closed-loop host model.
-#[derive(Clone, Copy)]
-enum StreamSlot {
-    /// The stream's next request arrives at this (known) time.
-    Ready(SimTime),
-    /// The stream's previous request is still unresolved; its completion is
-    /// the stream's next arrival.
-    Waiting(ReqId),
-    /// The stream is exhausted.
-    Done,
-}
-
-/// One occupied slot of the threaded [`ssd_sched::QueuePair`] emulation.
-#[derive(Clone, Copy)]
-enum FlightSlot {
-    Resolved(SimTime),
-    Pending(ReqId),
-}
-
-/// Blocks for the next resolved request and folds it into the host-side
-/// bookkeeping: the stream whose request resolved becomes `Ready` at the
-/// completion, and every queue slot holding the request learns its value.
-///
-/// This is the conservative loop's **only blocking point**, which makes it
-/// the ring-flush boundary: `wait_resolved` ships every shard's staged
-/// submission window to the workers before blocking, so all requests
-/// dispatched since the previous wakeup travel as one batch per shard —
-/// the eligible window *is* the submission batch.
-fn absorb_resolution(
-    dispatcher: &mut ThreadedDispatcher,
-    slots: &mut [StreamSlot],
-    in_flight: &mut [FlightSlot],
-    records: &mut [ThreadedRecord],
-    req_stream: &[usize],
-) {
-    let (req, completion) = dispatcher.wait_resolved();
-    records[req].completion = completion;
-    let stream = req_stream[req];
-    if matches!(slots[stream], StreamSlot::Waiting(r) if r == req) {
-        slots[stream] = StreamSlot::Ready(completion);
-    }
-    for slot in in_flight.iter_mut() {
-        if matches!(slot, FlightSlot::Pending(r) if *r == req) {
-            *slot = FlightSlot::Resolved(completion);
-        }
-    }
-}
-
-/// Everything the tenant admission loop measures; the tenant runners wrap
-/// this into a [`TenantRunResult`] after adding the FTL-side statistics.
+/// Everything the tenant admission loop measures; [`Runner::run_tenants`]
+/// wraps this into a [`TenantRunResult`] after adding the FTL-side
+/// statistics.
 struct TenantAdmission {
     lanes: Vec<TenantLane>,
     host_spans: Vec<HostSpan>,
@@ -173,14 +113,13 @@ fn tenant_policy(tenants: &TenantSet) -> TenantPolicy {
     TenantPolicy::new(classes)
 }
 
-/// The multi-tenant admission loop shared by [`Runner::run_tenants`] and
-/// [`Runner::run_tenants_threaded`]: per-tenant Poisson arrival streams are
-/// merged in arrival order into per-shard per-tenant backlogs, and each
-/// shard dispatches one request at a time — at
-/// `max(shard free, earliest queued arrival)` — picking the next tenant
-/// either by weighted arbitration (`policy` set: one [`TenantArbiter`] per
-/// shard, every backlogged tenant contending) or in plain FIFO arrival
-/// order (`policy` empty: the no-isolation baseline).
+/// The multi-tenant admission loop behind [`Runner::run_tenants`]:
+/// per-tenant Poisson arrival streams are merged in arrival order into
+/// per-shard per-tenant backlogs, and each shard dispatches one request at a
+/// time — at `max(shard free, earliest queued arrival)` — picking the next
+/// tenant either by weighted arbitration (`policy` set: one
+/// [`TenantArbiter`] per shard, every backlogged tenant contending) or in
+/// plain FIFO arrival order (`policy` empty: the no-isolation baseline).
 ///
 /// Latencies are recorded against the *true* arrival, so time spent queued
 /// behind other tenants' backlogs counts — that queueing is exactly where
@@ -700,289 +639,6 @@ impl Runner {
         }
     }
 
-    /// [`Runner::run_sharded_qd`] on the thread-parallel backend: the same
-    /// host model (bounded queue of `depth` slots, closed-loop streams, lane
-    /// bookkeeping) producing **bit-for-bit identical** simulated-time
-    /// results, with each shard's FTL owned by one of `workers` worker
-    /// threads ([`ShardedFtl::run_threaded`]).
-    ///
-    /// The host loop is a conservative parallel discrete-event simulation:
-    /// every decision the simulated loop takes (which stream's request to
-    /// pop next, whether the queue is full, which in-flight completion is
-    /// earliest) depends only on simulated-time *values*, so this loop takes
-    /// the identical decision as soon as it can *prove* the outcome —
-    /// blocking on worker completions only while an unresolved completion's
-    /// lower bound ([`ThreadedDispatcher::lower_bound`]) could still change
-    /// the answer. Workers meanwhile run their shards' FIFO backlogs
-    /// concurrently; only host wall-clock differs from the simulated
-    /// backend.
-    ///
-    /// Dispatches are *staged*, not sent: every request the loop proves
-    /// eligible between two blocking waits lands on its shard's submission
-    /// ring, and the whole window ships as one batched channel send when
-    /// the loop next needs a completion (or a ring fills). At high queue
-    /// depth many streams are provably eligible per wakeup, so the
-    /// per-request cross-core round-trip of the historical backend
-    /// amortises over the window — the win `fig25_wallclock_scaling`
-    /// records per FTL. Batch boundaries are deterministic (the dispatcher
-    /// applies completions in dispatch order), so traced runs are
-    /// byte-identical across repetitions.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `depth` or `workers` is zero, and re-raises a worker
-    /// thread's panic (a poisoned shard never deadlocks the dispatcher).
-    pub fn run_threaded_qd<F: Ftl>(
-        &self,
-        ftl: &mut ShardedFtl<F>,
-        workload: &mut dyn Workload,
-        depth: usize,
-        workers: usize,
-    ) -> ShardedRunResult {
-        assert!(depth > 0, "queue depth must be at least 1");
-        if self.config.reset_stats_before_run {
-            ftl.reset_stats();
-            ftl.reset_device_stats();
-        }
-        let start = self.config.start.max(ftl.drain_time());
-        let page_size = ftl.device().geometry().page_size;
-        let shard_count = ftl.shard_count();
-        let streams = workload.streams();
-        let tracing = ftl.tracing();
-        let wall = crate::wallclock::WallTimer::start();
-
-        let mut requests = 0u64;
-        let mut read_pages = 0u64;
-        let mut write_pages = 0u64;
-        let mut bytes = 0u64;
-
-        let records = ftl.run_threaded(workers, |dispatcher| {
-            let mut slots: Vec<StreamSlot> = vec![StreamSlot::Ready(start); streams];
-            let mut in_flight: Vec<FlightSlot> = Vec::with_capacity(depth);
-            let mut records: Vec<ThreadedRecord> = Vec::new();
-            let mut req_stream: Vec<usize> = Vec::new();
-
-            'run: loop {
-                // Pop the stream with the smallest (arrival, stream) key —
-                // the simulated loop's BinaryHeap order — waiting for worker
-                // completions until the minimum is provable.
-                let (arrival, stream) = loop {
-                    let mut best: Option<(SimTime, usize)> = None;
-                    let mut any_waiting = false;
-                    for (s, slot) in slots.iter().enumerate() {
-                        match *slot {
-                            StreamSlot::Ready(t) => {
-                                if best.is_none_or(|(bt, bs)| (t, s) < (bt, bs)) {
-                                    best = Some((t, s));
-                                }
-                            }
-                            StreamSlot::Waiting(_) => any_waiting = true,
-                            StreamSlot::Done => {}
-                        }
-                    }
-                    match best {
-                        None if !any_waiting => break 'run,
-                        None => absorb_resolution(
-                            dispatcher,
-                            &mut slots,
-                            &mut in_flight,
-                            &mut records,
-                            &req_stream,
-                        ),
-                        Some((t, s)) => {
-                            let contested = slots.iter().enumerate().any(|(s2, slot)| {
-                                matches!(*slot, StreamSlot::Waiting(req)
-                                    if (dispatcher.lower_bound(req), s2) < (t, s))
-                            });
-                            if contested {
-                                absorb_resolution(
-                                    dispatcher,
-                                    &mut slots,
-                                    &mut in_flight,
-                                    &mut records,
-                                    &req_stream,
-                                );
-                            } else {
-                                break (t, s);
-                            }
-                        }
-                    }
-                };
-
-                let Some(req) = workload.next_request(stream) else {
-                    slots[stream] = StreamSlot::Done;
-                    continue; // stream exhausted; do not re-queue
-                };
-
-                // QueuePair emulation. Reap: every slot that *might* have
-                // completed by `arrival` must be known before we can free it
-                // (or prove it stays).
-                loop {
-                    let uncertain = in_flight.iter().any(|slot| {
-                        matches!(slot, FlightSlot::Pending(r)
-                            if dispatcher.lower_bound(*r) <= arrival)
-                    });
-                    if !uncertain {
-                        break;
-                    }
-                    absorb_resolution(
-                        dispatcher,
-                        &mut slots,
-                        &mut in_flight,
-                        &mut records,
-                        &req_stream,
-                    );
-                }
-                in_flight.retain(|slot| match slot {
-                    FlightSlot::Resolved(t) => *t > arrival,
-                    FlightSlot::Pending(_) => true,
-                });
-                let issue = if in_flight.len() < depth {
-                    arrival
-                } else {
-                    // The queue is full: the request issues when the
-                    // earliest in-flight command completes. Resolve until
-                    // the minimum is provable.
-                    let earliest = loop {
-                        let min_resolved = in_flight
-                            .iter()
-                            .filter_map(|slot| match slot {
-                                FlightSlot::Resolved(t) => Some(*t),
-                                FlightSlot::Pending(_) => None,
-                            })
-                            .min();
-                        match min_resolved {
-                            Some(r)
-                                if !in_flight.iter().any(|slot| {
-                                    matches!(slot, FlightSlot::Pending(q)
-                                        if dispatcher.lower_bound(*q) < r)
-                                }) =>
-                            {
-                                break r
-                            }
-                            _ => absorb_resolution(
-                                dispatcher,
-                                &mut slots,
-                                &mut in_flight,
-                                &mut records,
-                                &req_stream,
-                            ),
-                        }
-                    };
-                    let reaped = in_flight
-                        .iter()
-                        .position(|slot| matches!(slot, FlightSlot::Resolved(t) if *t == earliest))
-                        .expect("the provable minimum is a resolved slot");
-                    in_flight.swap_remove(reaped);
-                    arrival.max(earliest)
-                };
-
-                let lane = dispatcher.map().shard_of(req.lpn);
-                let rid = dispatcher.dispatch(req, issue);
-                debug_assert_eq!(rid, records.len());
-                records.push(ThreadedRecord {
-                    arrival,
-                    issue,
-                    lane,
-                    completion: SimTime::ZERO,
-                    write: req.op == HostOp::Write,
-                    pages: req.pages,
-                    tenant: req.tenant,
-                });
-                req_stream.push(stream);
-                slots[stream] = StreamSlot::Waiting(rid);
-                in_flight.push(FlightSlot::Pending(rid));
-                requests += 1;
-                bytes += req.bytes(page_size);
-                match req.op {
-                    HostOp::Read => read_pages += u64::from(req.pages),
-                    HostOp::Write => write_pages += u64::from(req.pages),
-                }
-            }
-
-            // Every stream went Done through a Ready state, so its last
-            // request already resolved; drain defensively regardless.
-            while dispatcher.outstanding() > 0 {
-                absorb_resolution(
-                    dispatcher,
-                    &mut slots,
-                    &mut in_flight,
-                    &mut records,
-                    &req_stream,
-                );
-            }
-            records
-        });
-
-        // Replay the per-request log in pop order: this reproduces the
-        // simulated runner's recording order for the lanes and the queueing
-        // histogram exactly.
-        let mut lanes: Vec<ShardLane> = (0..shard_count)
-            .map(|shard| ShardLane {
-                shard,
-                requests: 0,
-                latencies: LatencyHistogram::new(),
-            })
-            .collect();
-        let mut queueing = LatencyHistogram::new();
-        let mut last_completion = start;
-        for record in &records {
-            lanes[record.lane].requests += 1;
-            lanes[record.lane]
-                .latencies
-                .record(record.completion - record.arrival);
-            queueing.record(record.issue - record.arrival);
-            last_completion = last_completion.max(record.completion);
-        }
-        let wall = wall.elapsed();
-        let trace = if tracing {
-            // Replaying the dispatch-order log reproduces the simulated
-            // runner's recording order, so the host spans are identical.
-            let host_spans: Vec<HostSpan> = records
-                .iter()
-                .map(|r| HostSpan {
-                    arrival: r.arrival,
-                    issue: r.issue,
-                    completion: r.completion,
-                    lane: r.lane as u32,
-                    shard: r.lane as u32,
-                    write: r.write,
-                    pages: r.pages,
-                    tenant: r.tenant,
-                })
-                .collect();
-            assemble_trace(ftl, &host_spans)
-        } else {
-            Vec::new()
-        };
-        let mut latencies = LatencyHistogram::new();
-        for lane in &mut lanes {
-            lane.latencies.finalize();
-            latencies.merge(&lane.latencies);
-        }
-        ShardedRunResult {
-            result: RunResult {
-                ftl_name: ftl.name().to_string(),
-                requests,
-                read_pages,
-                write_pages,
-                bytes,
-                elapsed: last_completion - start,
-                latencies,
-                queueing,
-                stats: ftl.stats().clone(),
-                device: ftl.device_stats(),
-                profile: SelfProfile {
-                    wall,
-                    requests,
-                    trace_events: trace.len() as u64,
-                },
-                trace,
-            },
-            lanes,
-        }
-    }
-
     /// Runs the workload with *open-loop* arrivals: requests arrive on a
     /// seeded Poisson process (exponential inter-arrival times with the given
     /// mean) independent of when earlier requests complete, cycling
@@ -1094,151 +750,6 @@ impl Runner {
         }
     }
 
-    /// [`Runner::run_open_loop`] on the thread-parallel backend
-    /// ([`ShardedFtl::run_threaded`]), producing **bit-for-bit identical**
-    /// simulated-time results.
-    ///
-    /// Open-loop arrivals are exogenous — the seeded Poisson process and the
-    /// round-robin stream cycling depend on nothing the workers compute — so
-    /// unlike [`Runner::run_threaded_qd`] the dispatcher never has to prove
-    /// anything: every request stages onto its shard's submission ring, full
-    /// rings ship to the workers as single batched sends, and completions
-    /// are gathered opportunistically as their batches resolve. The whole
-    /// offered-load window coalesces at the configured ring depth — the
-    /// backend's best case for both wall-clock scaling and round-trip
-    /// amortisation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mean_interarrival` is zero or `workers` is zero, and
-    /// re-raises a worker thread's panic.
-    pub fn run_threaded_open_loop<F: Ftl>(
-        &self,
-        ftl: &mut ShardedFtl<F>,
-        workload: &mut dyn Workload,
-        mean_interarrival: Duration,
-        seed: u64,
-        workers: usize,
-    ) -> RunResult {
-        assert!(
-            mean_interarrival > Duration::ZERO,
-            "mean inter-arrival time must be positive"
-        );
-        if self.config.reset_stats_before_run {
-            ftl.reset_stats();
-            ftl.reset_device_stats();
-        }
-        let start = self.config.start.max(ftl.drain_time());
-        let page_size = ftl.device().geometry().page_size;
-        let streams = workload.streams();
-        let tracing = ftl.tracing();
-        let wall = crate::wallclock::WallTimer::start();
-
-        let mut requests = 0u64;
-        let mut read_pages = 0u64;
-        let mut write_pages = 0u64;
-        let mut bytes = 0u64;
-
-        let (arrivals, completions, meta) = ftl.run_threaded(workers, |dispatcher| {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let mut arrivals: Vec<SimTime> = Vec::new();
-            let mut completions: Vec<SimTime> = Vec::new();
-            // (stream, write, pages, tenant) per request, dispatch order;
-            // only filled while tracing.
-            let mut meta: Vec<(u32, bool, u32, u32)> = Vec::new();
-            let mut arrival = start;
-            let mut exhausted = 0usize;
-            let mut stream = 0usize;
-
-            while exhausted < streams {
-                let Some(req) = workload.next_request(stream) else {
-                    exhausted += 1;
-                    stream = (stream + 1) % streams;
-                    continue;
-                };
-                exhausted = 0;
-                let issuing_stream = stream;
-                stream = (stream + 1) % streams;
-                let rid = dispatcher.dispatch(req, arrival);
-                debug_assert_eq!(rid, arrivals.len());
-                arrivals.push(arrival);
-                completions.push(SimTime::ZERO);
-                if tracing {
-                    meta.push((
-                        issuing_stream as u32,
-                        req.op == HostOp::Write,
-                        req.pages,
-                        req.tenant,
-                    ));
-                }
-                requests += 1;
-                bytes += req.bytes(page_size);
-                match req.op {
-                    HostOp::Read => read_pages += u64::from(req.pages),
-                    HostOp::Write => write_pages += u64::from(req.pages),
-                }
-                arrival += exponential(&mut rng, mean_interarrival);
-                // Gather opportunistically so the reply queue stays short.
-                while let Some((req, completion)) = dispatcher.try_resolved() {
-                    completions[req] = completion;
-                }
-            }
-            while dispatcher.outstanding() > 0 {
-                let (req, completion) = dispatcher.wait_resolved();
-                completions[req] = completion;
-            }
-            (arrivals, completions, meta)
-        });
-
-        let wall = wall.elapsed();
-        let trace = if tracing {
-            let host_spans: Vec<HostSpan> = arrivals
-                .iter()
-                .zip(&completions)
-                .zip(&meta)
-                .map(
-                    |((&arrival, &completion), &(lane, write, pages, tenant))| HostSpan {
-                        arrival,
-                        issue: arrival,
-                        completion,
-                        lane,
-                        shard: 0,
-                        write,
-                        pages,
-                        tenant,
-                    },
-                )
-                .collect();
-            assemble_trace(ftl, &host_spans)
-        } else {
-            Vec::new()
-        };
-        let mut latencies = LatencyHistogram::new();
-        let mut last_completion = start;
-        for (arrival, completion) in arrivals.iter().zip(&completions) {
-            latencies.record(*completion - *arrival);
-            last_completion = last_completion.max(*completion);
-        }
-        RunResult {
-            ftl_name: ftl.name().to_string(),
-            requests,
-            read_pages,
-            write_pages,
-            bytes,
-            elapsed: last_completion - start,
-            latencies,
-            queueing: LatencyHistogram::new(),
-            stats: ftl.stats().clone(),
-            device: ftl.device_stats(),
-            profile: SelfProfile {
-                wall,
-                requests,
-                trace_events: trace.len() as u64,
-            },
-            trace,
-        }
-    }
-
     /// Runs a multi-tenant [`TenantSet`] against a sharded FTL with the
     /// per-shard admission model of [`run_tenant_admission`]: tenant arrival
     /// streams merge by arrival time, each shard serves one request at a
@@ -1270,7 +781,16 @@ impl Runner {
         let map = *ftl.map();
         let wall = crate::wallclock::WallTimer::start();
 
-        let admission = run_tenant_admission(
+        let TenantAdmission {
+            mut lanes,
+            host_spans,
+            queueing,
+            requests,
+            read_pages,
+            write_pages,
+            bytes,
+            last_completion,
+        } = run_tenant_admission(
             tenants,
             start,
             shards,
@@ -1281,82 +801,8 @@ impl Runner {
             page_size,
         );
 
-        self.finish_tenants(ftl, admission, start, wall.elapsed())
-    }
-
-    /// [`Runner::run_tenants`] on the thread-parallel backend
-    /// ([`ShardedFtl::run_threaded`]), producing **bit-for-bit identical**
-    /// simulated-time results.
-    ///
-    /// The admission loop's next decision depends on the previous
-    /// completion (the shard pacing clock), so the host side stays
-    /// sequential: each dispatched request is resolved before the next pick.
-    /// The workers still own their shards' translation and device state —
-    /// this validates the threaded backend's timing under the multi-tenant
-    /// model rather than chasing wall-clock speedup.
-    pub fn run_tenants_threaded<F: Ftl>(
-        &self,
-        ftl: &mut ShardedFtl<F>,
-        tenants: &mut TenantSet,
-        isolate: bool,
-        workers: usize,
-    ) -> TenantRunResult {
-        if self.config.reset_stats_before_run {
-            ftl.reset_stats();
-            ftl.reset_device_stats();
-        }
-        let start = self.config.start.max(ftl.drain_time());
-        let page_size = ftl.device().geometry().page_size;
-        let tracing = ftl.tracing();
-        let shards = ftl.map().shards();
-        let policy = isolate.then(|| tenant_policy(tenants));
-        let wall = crate::wallclock::WallTimer::start();
-
-        let admission = ftl.run_threaded(workers, |dispatcher| {
-            let map = *dispatcher.map();
-            run_tenant_admission(
-                tenants,
-                start,
-                shards,
-                |lpn| map.shard_of(lpn),
-                |req, at| {
-                    let rid = dispatcher.dispatch(req, at);
-                    loop {
-                        let (resolved, completion) = dispatcher.wait_resolved();
-                        if resolved == rid {
-                            return completion;
-                        }
-                    }
-                },
-                policy.as_ref(),
-                tracing,
-                page_size,
-            )
-        });
-
-        self.finish_tenants(ftl, admission, start, wall.elapsed())
-    }
-
-    /// Folds a finished admission loop and the FTL's statistics into the
-    /// [`TenantRunResult`] both tenant runners return.
-    fn finish_tenants<F: Ftl>(
-        &self,
-        ftl: &mut ShardedFtl<F>,
-        admission: TenantAdmission,
-        start: SimTime,
-        wall: std::time::Duration,
-    ) -> TenantRunResult {
-        let TenantAdmission {
-            mut lanes,
-            host_spans,
-            queueing,
-            requests,
-            read_pages,
-            write_pages,
-            bytes,
-            last_completion,
-        } = admission;
-        let trace = if ftl.tracing() {
+        let wall = wall.elapsed();
+        let trace = if tracing {
             assemble_trace(ftl, &host_spans)
         } else {
             Vec::new()
@@ -1652,80 +1098,6 @@ mod tests {
     }
 
     #[test]
-    fn threaded_qd_matches_simulated_backend_bit_for_bit() {
-        let wl = || FioWorkload::new(FioPattern::RandRead, 4000, 4, 1, 100, 13);
-        let mut simulated_ftl = warmed_sharded(FtlKind::Dftl, 2);
-        let simulated = Runner::new().run_sharded_qd(&mut simulated_ftl, &mut wl(), 3);
-        let mut threaded_ftl = warmed_sharded(FtlKind::Dftl, 2);
-        let threaded = Runner::new().run_threaded_qd(&mut threaded_ftl, &mut wl(), 3, 2);
-        assert_eq!(threaded.result.requests, simulated.result.requests);
-        assert_eq!(threaded.result.elapsed, simulated.result.elapsed);
-        assert_eq!(
-            threaded.result.latencies.mean(),
-            simulated.result.latencies.mean()
-        );
-        assert_eq!(
-            threaded.result.latencies.max(),
-            simulated.result.latencies.max()
-        );
-        assert_eq!(
-            threaded.result.queueing.mean(),
-            simulated.result.queueing.mean()
-        );
-        assert_eq!(
-            threaded.result.queueing.max(),
-            simulated.result.queueing.max()
-        );
-        assert_eq!(
-            threaded.result.stats.cmt_hits,
-            simulated.result.stats.cmt_hits
-        );
-        assert_eq!(threaded.result.device.reads, simulated.result.device.reads);
-        for (a, b) in threaded.lanes.iter().zip(&simulated.lanes) {
-            assert_eq!(a.requests, b.requests);
-            assert_eq!(a.latencies.mean(), b.latencies.mean());
-            assert_eq!(a.latencies.max(), b.latencies.max());
-        }
-    }
-
-    #[test]
-    fn threaded_open_loop_matches_simulated_backend_bit_for_bit() {
-        let wl = || FioWorkload::new(FioPattern::RandRead, 4000, 4, 1, 150, 23);
-        let mean = Duration::from_micros(30);
-        let mut simulated_ftl = warmed_sharded(FtlKind::Dftl, 2);
-        let simulated = Runner::new().run_open_loop(&mut simulated_ftl, &mut wl(), mean, 42);
-        let mut threaded_ftl = warmed_sharded(FtlKind::Dftl, 2);
-        let threaded =
-            Runner::new().run_threaded_open_loop(&mut threaded_ftl, &mut wl(), mean, 42, 2);
-        assert_eq!(threaded.requests, simulated.requests);
-        assert_eq!(threaded.elapsed, simulated.elapsed);
-        assert_eq!(threaded.latencies.mean(), simulated.latencies.mean());
-        assert_eq!(threaded.latencies.max(), simulated.latencies.max());
-        assert_eq!(threaded.queueing.count(), 0, "open loop has no host queue");
-        assert_eq!(
-            threaded.stats.host_read_pages,
-            simulated.stats.host_read_pages
-        );
-        assert_eq!(threaded.device.reads, simulated.device.reads);
-    }
-
-    #[test]
-    fn threaded_qd_with_one_worker_still_matches() {
-        // workers < shards folds several shards onto one thread; the
-        // dispatch order and timings must not change.
-        let wl = || FioWorkload::new(FioPattern::RandRead, 4000, 8, 1, 60, 17);
-        let mut simulated_ftl = warmed_sharded(FtlKind::Ideal, 2);
-        let simulated = Runner::new().run_sharded_qd(&mut simulated_ftl, &mut wl(), 8);
-        let mut threaded_ftl = warmed_sharded(FtlKind::Ideal, 2);
-        let threaded = Runner::new().run_threaded_qd(&mut threaded_ftl, &mut wl(), 8, 1);
-        assert_eq!(threaded.result.elapsed, simulated.result.elapsed);
-        assert_eq!(
-            threaded.result.latencies.mean(),
-            simulated.result.latencies.mean()
-        );
-    }
-
-    #[test]
     fn two_shards_outperform_one_at_depth() {
         let run = |shards: usize| {
             let mut ftl = warmed_sharded(FtlKind::Dftl, shards);
@@ -1881,48 +1253,6 @@ mod tests {
             assert_eq!(x.requests, y.requests);
             assert_eq!(x.read_pages, y.read_pages);
             assert_eq!(x.write_pages, y.write_pages);
-        }
-    }
-
-    #[test]
-    fn tenant_threaded_matches_simulated_backend_bit_for_bit() {
-        for isolate in [false, true] {
-            let mut simulated_ftl = warmed_sharded(FtlKind::Dftl, 2);
-            let mut simulated_set = tenant_mix(150);
-            let simulated =
-                Runner::new().run_tenants(&mut simulated_ftl, &mut simulated_set, isolate);
-            let mut threaded_ftl = warmed_sharded(FtlKind::Dftl, 2);
-            let mut threaded_set = tenant_mix(150);
-            let threaded = Runner::new().run_tenants_threaded(
-                &mut threaded_ftl,
-                &mut threaded_set,
-                isolate,
-                2,
-            );
-            assert_eq!(threaded.result.requests, simulated.result.requests);
-            assert_eq!(threaded.result.elapsed, simulated.result.elapsed);
-            assert_eq!(
-                threaded.result.latencies.mean(),
-                simulated.result.latencies.mean()
-            );
-            assert_eq!(
-                threaded.result.latencies.max(),
-                simulated.result.latencies.max()
-            );
-            assert_eq!(
-                threaded.result.queueing.mean(),
-                simulated.result.queueing.mean()
-            );
-            for (t, s) in threaded.tenants.iter().zip(&simulated.tenants) {
-                assert_eq!(t.requests, s.requests, "isolate={isolate}");
-                assert_eq!(t.latencies.mean(), s.latencies.mean());
-                assert_eq!(t.latencies.max(), s.latencies.max());
-            }
-            assert_eq!(
-                threaded.result.stats.host_read_pages,
-                simulated.result.stats.host_read_pages
-            );
-            assert_eq!(threaded.result.device.reads, simulated.result.device.reads);
         }
     }
 

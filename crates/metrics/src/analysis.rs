@@ -29,8 +29,7 @@
 //! translation/compute. Queue-wait is `issue − arrival`, taken from the host
 //! span itself. The components therefore sum to the measured latency *by
 //! construction*, and the report is a pure function of the event stream:
-//! byte-identical across runs and across execution backends whenever the
-//! trace is.
+//! byte-identical across runs whenever the trace is.
 //!
 //! [`TraceAnalysis::to_json`] renders the deterministic `analysis.json`
 //! artifact (same byte-identical discipline as
@@ -182,36 +181,6 @@ pub struct ChannelUse {
     pub idle_ns: u64,
     /// The longest single idle gap.
     pub max_idle_ns: u64,
-}
-
-/// Submission-ring batching statistics of one shard: how many requests the
-/// thread-parallel backend coalesced into each SQ/CQ channel round-trip.
-///
-/// Built from [`TraceData::RingBatch`] counters, which only the threaded
-/// backend emits — a simulated trace (or one stripped for cross-backend
-/// comparison) produces an empty ring section, so the rest of the report
-/// stays byte-identical across backends.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RingUse {
-    /// Shard the ring belongs to.
-    pub shard: u32,
-    /// Submission batches executed by the shard's worker.
-    pub batches: u64,
-    /// Total work items across those batches.
-    pub entries: u64,
-    /// The largest single batch.
-    pub max_entries: u32,
-}
-
-impl RingUse {
-    /// Mean work items per batch (0 when no batches were traced).
-    pub fn mean_entries(&self) -> f64 {
-        if self.batches == 0 {
-            0.0
-        } else {
-            self.entries as f64 / self.batches as f64
-        }
-    }
 }
 
 /// Per-shard rollup: traced window, request count, GC tax and resource
@@ -376,10 +345,6 @@ pub struct TraceAnalysis {
     pub planes: Vec<PlaneUse>,
     /// Per-channel accounting, in (shard, channel) order.
     pub channels: Vec<ChannelUse>,
-    /// Per-shard submission-ring batching, in shard order. Empty unless the
-    /// trace came from the thread-parallel backend with its batch counters
-    /// intact.
-    pub rings: Vec<RingUse>,
     /// The top-K slowest requests (latency descending, request index
     /// ascending on ties), each with its reconstructed span tree.
     pub exemplars: Vec<Exemplar>,
@@ -514,7 +479,7 @@ impl UnitAcc {
 ///
 /// A pure function of the event stream (sorted maps, integer arithmetic, no
 /// clocks): identical streams analyse to identical reports, which is what
-/// makes `analysis.json` byte-stable across runs and backends.
+/// makes `analysis.json` byte-stable across runs.
 pub fn analyze(events: &[TraceEvent]) -> TraceAnalysis {
     let epochs = shard_epochs(events);
     let rebase = |t: ssd_sim::SimTime, shard: u32| t.as_nanos().saturating_sub(epochs[&shard]);
@@ -524,22 +489,7 @@ pub fn analyze(events: &[TraceEvent]) -> TraceAnalysis {
     let mut planes: BTreeMap<(u32, u32, u32), UnitAcc> = BTreeMap::new();
     let mut channels: BTreeMap<(u32, u32), UnitAcc> = BTreeMap::new();
     let mut shard_end: BTreeMap<u32, u64> = BTreeMap::new();
-    let mut rings: BTreeMap<u32, RingUse> = BTreeMap::new();
     for e in events {
-        // Ring-batch counters are backend bookkeeping, not device activity:
-        // they feed the ring section only and never touch shard windows or
-        // charge intervals, so every other section of the report is
-        // unchanged by their presence.
-        if let TraceData::RingBatch { entries } = e.data {
-            let ring = rings.entry(e.shard).or_insert(RingUse {
-                shard: e.shard,
-                ..RingUse::default()
-            });
-            ring.batches += 1;
-            ring.entries += u64::from(entries);
-            ring.max_entries = ring.max_entries.max(entries);
-            continue;
-        }
         let (start, end) = (rebase(e.start, e.shard), rebase(e.end, e.shard));
         let shard_max = shard_end.entry(e.shard).or_insert(0);
         *shard_max = (*shard_max).max(end);
@@ -730,7 +680,6 @@ pub fn analyze(events: &[TraceEvent]) -> TraceAnalysis {
                 max_idle_ns: a.max_idle_ns,
             })
             .collect(),
-        rings: rings.into_values().collect(),
         exemplars,
     }
 }
@@ -856,18 +805,6 @@ impl TraceAnalysis {
         let mut total = GcTax::default();
         for s in &self.shards {
             total.fold(&s.gc_tax);
-        }
-        total
-    }
-
-    /// FTL-wide submission-ring batching: the per-shard [`RingUse`] rows
-    /// folded together (shard index 0 is meaningless on the fold).
-    pub fn ring_totals(&self) -> RingUse {
-        let mut total = RingUse::default();
-        for r in &self.rings {
-            total.batches += r.batches;
-            total.entries += r.entries;
-            total.max_entries = total.max_entries.max(r.max_entries);
         }
         total
     }
@@ -1039,36 +976,6 @@ impl TraceAnalysis {
             );
         }
         out.push_str("],");
-
-        // Submission-ring batching (threaded backend only; zeros and an
-        // empty shard list on simulated or ring-stripped traces, so the
-        // document shape is backend-independent).
-        let ring = self.ring_totals();
-        let _ = write!(
-            out,
-            "\"ring\":{{\"batches\":{},\"entries\":{},\"mean_entries\":{},\
-             \"max_entries\":{},\"shards\":[",
-            ring.batches,
-            ring.entries,
-            frac(ring.mean_entries()),
-            ring.max_entries,
-        );
-        for (i, r) in self.rings.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"shard\":{},\"batches\":{},\"entries\":{},\"mean_entries\":{},\
-                 \"max_entries\":{}}}",
-                r.shard,
-                r.batches,
-                r.entries,
-                frac(r.mean_entries()),
-                r.max_entries,
-            );
-        }
-        out.push_str("]},");
 
         // Per-tenant rollups.
         out.push_str("\"tenants\":[");
@@ -1263,26 +1170,6 @@ pub fn validate_analysis_json(json: &str) -> Result<AnalysisSummary, String> {
         .get("planes")
         .and_then(Json::as_array)
         .ok_or("missing planes array")?;
-    let ring = doc.get("ring").ok_or("missing ring object")?;
-    let ring_batches = number(ring.get("batches"), "ring.batches")? as u64;
-    let ring_entries = number(ring.get("entries"), "ring.entries")? as u64;
-    number(ring.get("mean_entries"), "ring.mean_entries")?;
-    number(ring.get("max_entries"), "ring.max_entries")?;
-    if ring_entries < ring_batches {
-        return Err(format!(
-            "ring records {ring_batches} batches but only {ring_entries} entries \
-             (every batch carries at least one)"
-        ));
-    }
-    let ring_shards = ring
-        .get("shards")
-        .and_then(Json::as_array)
-        .ok_or("missing ring.shards array")?;
-    for (i, r) in ring_shards.iter().enumerate() {
-        number(r.get("shard"), &format!("ring.shards[{i}].shard"))?;
-        number(r.get("batches"), &format!("ring.shards[{i}].batches"))?;
-        number(r.get("entries"), &format!("ring.shards[{i}].entries"))?;
-    }
     let tenants = doc
         .get("tenants")
         .and_then(Json::as_array)
@@ -1539,73 +1426,6 @@ mod tests {
         let bad = good.replacen("\"queue_wait\":30000", "\"queue_wait\":30001", 1);
         assert_ne!(good, bad, "replacement must hit the components object");
         assert!(validate_analysis_json(&bad).is_err(), "broken invariant");
-    }
-
-    #[test]
-    fn ring_batches_aggregate_per_shard_and_leave_the_rest_untouched() {
-        let ring = |us: u64, shard: u32, entries: u32| TraceEvent {
-            start: at(us),
-            end: at(us),
-            shard,
-            data: TraceData::RingBatch { entries },
-        };
-        let mut events = sample_events();
-        events.push(ring(12, 0, 3));
-        events.push(ring(50, 0, 5));
-        events.push(ring(20, 1, 1));
-        let analysis = analyze(&events);
-        assert_eq!(
-            analysis.rings,
-            vec![
-                RingUse {
-                    shard: 0,
-                    batches: 2,
-                    entries: 8,
-                    max_entries: 5,
-                },
-                RingUse {
-                    shard: 1,
-                    batches: 1,
-                    entries: 1,
-                    max_entries: 1,
-                },
-            ]
-        );
-        let total = analysis.ring_totals();
-        assert_eq!((total.batches, total.entries, total.max_entries), (3, 9, 5));
-        assert!((total.mean_entries() - 3.0).abs() < 1e-9);
-
-        // Ring counters are bookkeeping, not device activity: every other
-        // section must match the same trace without them (which is what the
-        // cross-backend comparison relies on after stripping).
-        let plain = analyze(&sample_events());
-        assert_eq!(analysis.requests, plain.requests);
-        assert_eq!(analysis.shards, plain.shards);
-        assert_eq!(analysis.planes, plain.planes);
-        assert_eq!(analysis.channels, plain.channels);
-        assert_eq!(analysis.exemplars, plain.exemplars);
-        assert!(plain.rings.is_empty());
-
-        let json = analysis.to_json("ring-test");
-        validate_analysis_json(&json).expect("valid analysis.json");
-        assert!(json.contains(
-            "\"ring\":{\"batches\":3,\"entries\":9,\"mean_entries\":3.000000,\"max_entries\":5"
-        ));
-    }
-
-    #[test]
-    fn validator_rejects_impossible_ring_sections() {
-        let good = analysis_json(&sample_events(), "x");
-        // Zero batches with zero entries is fine (simulated trace)...
-        validate_analysis_json(&good).expect("valid");
-        // ...but more batches than entries is impossible.
-        let bad = good.replacen(
-            "\"ring\":{\"batches\":0,\"entries\":0",
-            "\"ring\":{\"batches\":2,\"entries\":1",
-            1,
-        );
-        assert_ne!(good, bad, "replacement must hit the ring object");
-        assert!(validate_analysis_json(&bad).is_err());
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! benchmark artifacts (`fig27_throughput` writes the first one).
 //!
 //! A BENCH artifact records how fast the *simulator* ran — requests/sec and
-//! trace events/sec of wall clock per (FTL, shards, backend) configuration —
+//! trace events/sec of wall clock per (FTL, shards) configuration —
 //! so later optimisation PRs have a trajectory to regress against. Unlike
 //! `analysis.json` the numbers are inherently nondeterministic (they measure
 //! the host), so CI validates the **shape** and the embedded self-consistency
@@ -83,7 +83,6 @@ pub fn validate_bench_artifact(json: &str) -> Result<BenchArtifactSummary, Strin
     for (i, run) in runs.iter().enumerate() {
         let at = |f: &str| format!("runs[{i}].{f}");
         string(run.get("ftl"), &at("ftl"))?;
-        string(run.get("backend"), &at("backend"))?;
         let shards = numeric(run.get("shards"), &at("shards"))?;
         if shards < 1.0 {
             return Err(format!("{}: must be >= 1", at("shards")));
@@ -122,8 +121,7 @@ pub const BENCH_FLOORS_SCHEMA: &str = "learnedftl-bench-floors-v1";
 pub struct BenchFloorSummary {
     /// Floors checked (every one matched a run and held).
     pub floors: usize,
-    /// The smallest measured/floor ratio across them (`> 1` means head-room;
-    /// `f64::INFINITY` when no floors were listed).
+    /// The smallest measured/floor ratio across them (`> 1` means head-room).
     pub tightest_margin: f64,
 }
 
@@ -139,9 +137,22 @@ fn integral_shards(n: f64, what: &str) -> Result<u64, String> {
     Ok(rounded as u64)
 }
 
-/// Checks a BENCH artifact against a checked-in floors document: every floor
-/// entry must match exactly one run by `(ftl, backend, shards)` and that
-/// run's `requests_per_sec` must be at or above `min_requests_per_sec`.
+/// The `(ftl, shards)` key a floor or a run is matched on.
+fn run_key(entry: &Json) -> Option<(&str, u64)> {
+    let ftl = entry.get("ftl").and_then(Json::as_str)?;
+    let shards = entry
+        .get("shards")
+        .and_then(Json::as_number)
+        .and_then(|n| integral_shards(n, "shards").ok())?;
+    Some((ftl, shards))
+}
+
+/// Checks a BENCH artifact against a checked-in floors document. The floors
+/// and the runs must pair up one to one by `(ftl, shards)`: every floor
+/// matches exactly one run, every run is matched by exactly one floor, and
+/// each run's `requests_per_sec` must be at or above its floor's
+/// `min_requests_per_sec`. An empty floor list is rejected, so the gate can
+/// never pass without checking anything.
 ///
 /// This is the regression gate for the wall-clock trajectory: the floors are
 /// deliberately conservative (CI hosts are shared and noisy), so a failure
@@ -150,7 +161,7 @@ fn integral_shards(n: f64, what: &str) -> Result<u64, String> {
 /// # Errors
 ///
 /// Returns a description of the first malformed construct, unmatched floor,
-/// or floor violation.
+/// ungated run, or floor violation.
 pub fn check_bench_floors(artifact: &str, floors: &str) -> Result<BenchFloorSummary, String> {
     let artifact = JsonParser::new(artifact).parse_document()?;
     let doc = JsonParser::new(floors).parse_document()?;
@@ -172,20 +183,24 @@ pub fn check_bench_floors(artifact: &str, floors: &str) -> Result<BenchFloorSumm
         .get("floors")
         .and_then(Json::as_array)
         .ok_or("missing floors array")?;
+    if floor_list.is_empty() {
+        return Err("floors array is empty: the gate would check nothing".into());
+    }
+    let describe = |key: Option<(&str, u64)>| match key {
+        Some((ftl, shards)) => format!("({ftl}, shards={shards})"),
+        None => "(?, shards=?)".to_string(),
+    };
     let mut summary = BenchFloorSummary {
         floors: floor_list.len(),
         tightest_margin: f64::INFINITY,
     };
+    let mut covered = vec![0usize; runs.len()];
     for (i, floor) in floor_list.iter().enumerate() {
         let at = |f: &str| format!("floors[{i}].{f}");
         let ftl = floor
             .get("ftl")
             .and_then(Json::as_str)
             .ok_or_else(|| format!("missing {}", at("ftl")))?;
-        let backend = floor
-            .get("backend")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("missing {}", at("backend")))?;
         let shards = integral_shards(numeric(floor.get("shards"), &at("shards"))?, &at("shards"))?;
         let min = numeric(
             floor.get("min_requests_per_sec"),
@@ -194,54 +209,55 @@ pub fn check_bench_floors(artifact: &str, floors: &str) -> Result<BenchFloorSumm
         if min <= 0.0 {
             return Err(format!("{}: must be positive", at("min_requests_per_sec")));
         }
-        let run_shards = |run: &Json| {
-            run.get("shards")
-                .and_then(Json::as_number)
-                .and_then(|n| integral_shards(n, "run shards").ok())
-        };
-        let matches: Vec<&Json> = runs
-            .iter()
-            .filter(|run| {
-                run.get("ftl").and_then(Json::as_str) == Some(ftl)
-                    && run.get("backend").and_then(Json::as_str) == Some(backend)
-                    && run_shards(run) == Some(shards)
-            })
+        let matches: Vec<usize> = (0..runs.len())
+            .filter(|&r| run_key(&runs[r]) == Some((ftl, shards)))
             .collect();
         let run = match matches.as_slice() {
             [run] => *run,
             [] => {
-                let available: Vec<String> = runs
-                    .iter()
-                    .map(|run| {
-                        format!(
-                            "({}, {}, shards={})",
-                            run.get("ftl").and_then(Json::as_str).unwrap_or("?"),
-                            run.get("backend").and_then(Json::as_str).unwrap_or("?"),
-                            run_shards(run).map_or_else(|| "?".into(), |s| s.to_string()),
-                        )
-                    })
-                    .collect();
+                let available: Vec<String> = runs.iter().map(|r| describe(run_key(r))).collect();
                 return Err(format!(
-                    "floor ({ftl}, {backend}, shards={shards}) matches no run — \
+                    "floor ({ftl}, shards={shards}) matches no run — \
                      the floors file is stale; the artifact sweeps [{}]",
                     available.join(", ")
                 ));
             }
             _ => {
                 return Err(format!(
-                    "floor ({ftl}, {backend}, shards={shards}) matches {} runs",
+                    "floor ({ftl}, shards={shards}) matches {} runs",
                     matches.len()
                 ))
             }
         };
-        let measured = numeric(run.get("requests_per_sec"), "matched run requests_per_sec")?;
+        covered[run] += 1;
+        let measured = numeric(
+            runs[run].get("requests_per_sec"),
+            "matched run requests_per_sec",
+        )?;
         if measured < min {
             return Err(format!(
-                "REGRESSION: ({ftl}, {backend}, shards={shards}) ran at {measured:.0} \
+                "REGRESSION: ({ftl}, shards={shards}) ran at {measured:.0} \
                  requests/s, below the floor of {min:.0}"
             ));
         }
         summary.tightest_margin = summary.tightest_margin.min(measured / min);
+    }
+    for (run, &count) in runs.iter().zip(&covered) {
+        match count {
+            1 => {}
+            0 => {
+                return Err(format!(
+                    "run {} has no floor — every run the artifact sweeps must be gated",
+                    describe(run_key(run))
+                ))
+            }
+            n => {
+                return Err(format!(
+                    "run {} is matched by {n} floors — list each configuration once",
+                    describe(run_key(run))
+                ))
+            }
+        }
     }
     Ok(summary)
 }
@@ -254,7 +270,7 @@ mod tests {
         format!(
             "{{\"schema\":\"{BENCH_SCHEMA}\",\"bench\":\"fig27_throughput\",\
              \"scale\":\"quick\",\"host_cores\":4,\"runs\":[{{\
-             \"ftl\":\"learnedftl\",\"backend\":\"simulated\",\"shards\":1,\
+             \"ftl\":\"learnedftl\",\"shards\":1,\
              \"requests\":800,\"sim_elapsed_ns\":123456,\"wall_s\":0.25,\
              \"requests_per_sec\":3200.0,\"traced_wall_s\":0.30,\
              \"trace_events\":9000,\"events_per_sec\":30000.0,{run_tail}}}],\
@@ -266,7 +282,7 @@ mod tests {
     fn accepts_a_well_formed_artifact() {
         let json = artifact(
             "\"checks\":{\"traced_matches_untraced\":true,\"rates_finite\":true}",
-            "{\"all_backends_equivalent\":true}",
+            "{\"all_runs_checked\":true}",
         );
         let summary = validate_bench_artifact(&json).expect("valid artifact");
         assert_eq!(summary.runs, 1);
@@ -278,7 +294,7 @@ mod tests {
     fn rejects_failed_self_consistency_checks() {
         let json = artifact(
             "\"checks\":{\"traced_matches_untraced\":false}",
-            "{\"all_backends_equivalent\":true}",
+            "{\"all_runs_checked\":true}",
         );
         let err = validate_bench_artifact(&json).unwrap_err();
         assert!(err.contains("traced_matches_untraced"), "{err}");
@@ -306,7 +322,7 @@ mod tests {
     fn floors_pass_when_measured_rate_clears_them() {
         let artifact = artifact("\"checks\":{}", "{}");
         let floors = floors(
-            "{\"ftl\":\"learnedftl\",\"backend\":\"simulated\",\"shards\":1,\
+            "{\"ftl\":\"learnedftl\",\"shards\":1,\
              \"min_requests_per_sec\":1600.0}",
         );
         let summary = check_bench_floors(&artifact, &floors).expect("floor holds");
@@ -319,7 +335,7 @@ mod tests {
         let artifact = artifact("\"checks\":{}", "{}");
         // The measured 3200 req/s is below a 4000 floor.
         let regressed = floors(
-            "{\"ftl\":\"learnedftl\",\"backend\":\"simulated\",\"shards\":1,\
+            "{\"ftl\":\"learnedftl\",\"shards\":1,\
              \"min_requests_per_sec\":4000.0}",
         );
         let err = check_bench_floors(&artifact, &regressed).unwrap_err();
@@ -327,7 +343,7 @@ mod tests {
         // A floor naming a configuration the artifact no longer sweeps is a
         // stale-floors error, not a silent pass.
         let stale = floors(
-            "{\"ftl\":\"learnedftl\",\"backend\":\"threaded\",\"shards\":8,\
+            "{\"ftl\":\"learnedftl\",\"shards\":8,\
              \"min_requests_per_sec\":1.0}",
         );
         let err = check_bench_floors(&artifact, &stale).unwrap_err();
@@ -336,10 +352,44 @@ mod tests {
         assert!(check_bench_floors(&artifact, "{\"schema\":\"other\"}").is_err());
         let wrong_bench = floors("").replace("fig27_throughput", "fig99");
         assert!(check_bench_floors(&artifact, &wrong_bench).is_err());
-        // An empty floors list passes with infinite margin.
-        let summary = check_bench_floors(&artifact, &floors("")).expect("empty floors");
-        assert_eq!(summary.floors, 0);
-        assert!(summary.tightest_margin.is_infinite());
+    }
+
+    #[test]
+    fn floors_reject_an_empty_floor_list() {
+        let artifact = artifact("\"checks\":{}", "{}");
+        let err = check_bench_floors(&artifact, &floors("")).unwrap_err();
+        assert!(err.contains("empty"), "{err}");
+    }
+
+    #[test]
+    fn floors_reject_a_run_no_floor_covers() {
+        // A second run (shards=4) beside the helper's shards=1 run.
+        let two_runs = artifact("\"checks\":{}", "{}").replace(
+            "}],\"checks\"",
+            "},{\"ftl\":\"learnedftl\",\"shards\":4,\"requests\":800,\
+             \"sim_elapsed_ns\":1,\"wall_s\":0.25,\"requests_per_sec\":3200.0,\
+             \"traced_wall_s\":0.30,\"trace_events\":9000,\"events_per_sec\":1.0,\
+             \"checks\":{}}],\"checks\"",
+        );
+        validate_bench_artifact(&two_runs).expect("valid two-run artifact");
+        let one = "{\"ftl\":\"learnedftl\",\"shards\":1,\"min_requests_per_sec\":1600.0}";
+        let four = "{\"ftl\":\"learnedftl\",\"shards\":4,\"min_requests_per_sec\":1600.0}";
+        // The shards=4 run has no floor: it must not go ungated.
+        let err = check_bench_floors(&two_runs, &floors(one)).unwrap_err();
+        assert!(
+            err.contains("no floor") && err.contains("(learnedftl, shards=4)"),
+            "{err}"
+        );
+        // Covering both runs once each passes.
+        let both = floors(&format!("{one},{four}"));
+        assert_eq!(
+            check_bench_floors(&two_runs, &both).expect("gated").floors,
+            2
+        );
+        // A run matched by two floors is a duplicated floor entry.
+        let twice = floors(&format!("{one},{one},{four}"));
+        let err = check_bench_floors(&two_runs, &twice).unwrap_err();
+        assert!(err.contains("matched by 2 floors"), "{err}");
     }
 
     #[test]
@@ -350,7 +400,7 @@ mod tests {
         let artifact = artifact("\"checks\":{}", "{}");
         for spelling in ["1.0", "1.00000000001", "0.9999999999"] {
             let floors = floors(&format!(
-                "{{\"ftl\":\"learnedftl\",\"backend\":\"simulated\",\
+                "{{\"ftl\":\"learnedftl\",\
                  \"shards\":{spelling},\"min_requests_per_sec\":1600.0}}"
             ));
             let summary = check_bench_floors(&artifact, &floors)
@@ -360,19 +410,19 @@ mod tests {
         // A genuinely non-integral shard count is a malformed floor, not a
         // stale one.
         let bad = floors(
-            "{\"ftl\":\"learnedftl\",\"backend\":\"simulated\",\"shards\":1.5,\
+            "{\"ftl\":\"learnedftl\",\"shards\":1.5,\
              \"min_requests_per_sec\":1600.0}",
         );
         let err = check_bench_floors(&artifact, &bad).unwrap_err();
         assert!(err.contains("not an integer"), "{err}");
         // The stale-floor message now names the artifact's configurations.
         let stale = floors(
-            "{\"ftl\":\"learnedftl\",\"backend\":\"simulated\",\"shards\":2,\
+            "{\"ftl\":\"learnedftl\",\"shards\":2,\
              \"min_requests_per_sec\":1.0}",
         );
         let err = check_bench_floors(&artifact, &stale).unwrap_err();
         assert!(
-            err.contains("stale") && err.contains("(learnedftl, simulated, shards=1)"),
+            err.contains("stale") && err.contains("(learnedftl, shards=1)"),
             "{err}"
         );
     }

@@ -403,6 +403,56 @@ mod tests {
             }
         }
 
+        /// Merging per-lane histograms — each sorted because lanes append in
+        /// completion order — yields a sorted aggregate containing exactly
+        /// the union of the samples, whatever order the lanes are merged in.
+        #[test]
+        fn prop_lane_merge_is_sorted_union(
+            lanes in proptest::collection::vec(
+                proptest::collection::vec(0u64..5_000_000, 0..60),
+                1..6,
+            ),
+            shuffle_seed in 0u64..u64::MAX,
+        ) {
+            // Build each lane sorted (completion order is non-decreasing per
+            // engine) and check monotone append never invalidates sortedness.
+            let mut built: Vec<LatencyHistogram> = Vec::new();
+            let mut all: Vec<u64> = Vec::new();
+            for lane in &lanes {
+                let mut sorted = lane.clone();
+                sorted.sort_unstable();
+                let mut h = LatencyHistogram::new();
+                for &ns in &sorted {
+                    h.record(Duration::from_nanos(ns));
+                }
+                prop_assert!(h.is_sorted(), "monotone append must stay sorted");
+                all.extend_from_slice(&sorted);
+                built.push(h);
+            }
+            // Merge in an arbitrary (seed-derived Fisher-Yates) order.
+            let mut order: Vec<usize> = (0..built.len()).collect();
+            let mut state = shuffle_seed | 1;
+            for i in (1..order.len()).rev() {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                order.swap(i, (state >> 33) as usize % (i + 1));
+            }
+            let mut merged = LatencyHistogram::new();
+            for &idx in &order {
+                merged.merge(&built[idx]);
+            }
+            prop_assert!(merged.is_sorted(), "sorted lanes must merge sorted");
+            prop_assert_eq!(merged.count(), all.len());
+            all.sort_unstable();
+            if let (Some(&min), Some(&max)) = (all.first(), all.last()) {
+                prop_assert_eq!(merged.percentile(0.0), Duration::from_nanos(min));
+                prop_assert_eq!(merged.percentile(1.0), Duration::from_nanos(max));
+                let mid = all[(all.len().div_ceil(2)).saturating_sub(1)];
+                prop_assert_eq!(merged.percentile(0.5), Duration::from_nanos(mid));
+            }
+        }
+
         /// Model check for the multi-tenant aggregation shape: N per-tenant
         /// histograms, each finalized after recording (like the harness's
         /// `TenantLane`s), merged pairwise as a balanced tree — the result

@@ -15,8 +15,7 @@
 //! formats but consults no clocks, no maps with nondeterministic iteration
 //! order and no floating-point reductions whose order depends on input
 //! layout. Two identical streams therefore render to byte-identical output —
-//! the property the trace-determinism suite asserts across runs and across
-//! execution backends.
+//! the property the trace-determinism suite asserts across runs.
 //!
 //! [`validate_chrome_trace`] is a minimal JSON parser plus shape checks over
 //! the exporter's output, so CI can assert a traced run emitted well-formed
@@ -34,7 +33,6 @@ const TID_BUS_BASE: u64 = 2_000_000;
 const TID_SCHED_BASE: u64 = 3_000_000;
 const TID_GC: u64 = 4_000_000;
 const TID_HOST_BASE: u64 = 5_000_000;
-const TID_RING: u64 = 6_000_000;
 
 fn op_label(op: FlashOp) -> &'static str {
     match op {
@@ -64,7 +62,7 @@ fn dur_us(start: SimTime, end: SimTime) -> String {
 /// the trainer's host wall clock to the simulated timeline during warm-up
 /// GC). Rebasing every shard onto its own epoch makes the exported artifacts
 /// a pure function of the *relative* event stream — byte-identical across
-/// runs and backends whenever the measured phase is deterministic — and
+/// runs whenever the measured phase is deterministic — and
 /// aligns the shards' measured-phase starts for side-by-side viewing.
 pub(crate) fn shard_epochs(events: &[TraceEvent]) -> BTreeMap<u32, u64> {
     let mut epochs: BTreeMap<u32, u64> = BTreeMap::new();
@@ -99,14 +97,12 @@ fn track_of(e: &TraceEvent) -> (u64, u64) {
         | TraceData::GcComplete
         | TraceData::ReadClass { .. } => TID_GC,
         TraceData::HostRequest { lane, .. } => TID_HOST_BASE + u64::from(lane),
-        TraceData::RingBatch { .. } => TID_RING,
     };
     (pid, tid)
 }
 
 fn thread_name(tid: u64) -> String {
     match tid {
-        TID_RING => "ring dispatch".to_string(),
         t if t >= TID_HOST_BASE => format!("host lane {}", t - TID_HOST_BASE),
         TID_GC => "gc/translation".to_string(),
         t if t >= TID_SCHED_BASE => format!("sched chip {}", t - TID_SCHED_BASE),
@@ -263,14 +259,6 @@ pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
                     "{{\"ph\":\"i\",\"pid\":{pid},\"tid\":{tid},\"ts\":{ts},\
                      \"s\":\"t\",\"cat\":\"translation\",\"name\":\"{}\"}}",
                     class.label(),
-                );
-            }
-            TraceData::RingBatch { entries } => {
-                let _ = write!(
-                    s,
-                    "{{\"ph\":\"C\",\"pid\":{pid},\"tid\":{tid},\"ts\":{ts},\
-                     \"cat\":\"ring\",\"name\":\"ring batch\",\
-                     \"args\":{{\"entries\":{entries}}}}}"
                 );
             }
             TraceData::HostRequest {

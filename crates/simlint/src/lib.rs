@@ -1,8 +1,8 @@
 //! simlint: workspace determinism & safety lints.
 //!
 //! Every headline result in this reproduction is gated on **bit-for-bit
-//! determinism** — the threaded/ring backends, trace artifacts and bench
-//! floors all compare exact bytes — yet that invariant used to be enforced
+//! determinism** — the run-to-run determinism suites, trace artifacts and
+//! analysis reports all compare exact bytes — yet that invariant used to be enforced
 //! only dynamically, after a run. simlint rejects the whole preventable bug
 //! class statically: it is an offline, dependency-free scanner (a small
 //! hand-rolled lexer, no syn, consistent with the vendored-only policy)

@@ -5,7 +5,7 @@
 //! reproduction:
 //!
 //! 1. `unordered-collection` — the headline results are gated on bit-for-bit
-//!    determinism across processes and backends; `HashMap`/`HashSet`
+//!    determinism across processes; `HashMap`/`HashSet`
 //!    iteration order is seeded per process and has already caused one
 //!    shipped bug (the PR 1 CMT `HashMap`→`BTreeMap` fix).
 //! 2. `wall-clock` — simulated time must be a pure function of the workload;
@@ -17,8 +17,8 @@
 //!    `// SAFETY:` justification (only the opt-in counting allocator should
 //!    carry any).
 //! 5. `float-order` — float summation/comparison order can diverge between
-//!    the simulated and threaded backends; metrics and result paths stay on
-//!    integers or total orders.
+//!    runs that merge the same values in a different order; metrics and
+//!    result paths stay on integers or total orders.
 
 use crate::scan::ScannedFile;
 use crate::Severity;

@@ -1,75 +1,13 @@
 //! The serial translation engine: one FTL core's issue path.
 //!
 //! A [`SerialEngine`] models the resource every FTL shard runs on — one
-//! embedded core that translates one request at a time. It is the unit both
-//! execution backends share:
-//!
-//! * the *simulated* backend ([`crate::MultiIssuer`]) owns a bank of them and
-//!   drives each from the single host thread,
-//! * the *thread-parallel* backend (`ftl-shard`'s `run_threaded`) lends each
-//!   worker thread exclusive `&mut` access to its shard's engine, so the
-//!   worker replays exactly the arithmetic the simulated path would have
-//!   performed — same `free_at` chaining, same per-engine counters — and the
-//!   two backends produce bit-for-bit identical simulated timings.
-//!
-//! [`ShardEngine`] is the seam abstracting "something that serialises a
-//! shard's requests onto a timeline": both backends dispatch through it
-//! (`ftl-shard`'s simulated `run_segment` and its threaded worker loop), and
-//! a future async runtime (tokio, io_uring) would implement the trait over
-//! its own completion source without touching the sharding layer.
+//! embedded core that translates one request at a time. The
+//! [`crate::MultiIssuer`] bank owns one per shard, and `ftl-shard`'s
+//! `ShardedFtl` submits each shard-local piece of a host request to its
+//! shard's engine directly.
 
 use metrics::LatencyHistogram;
 use ssd_sim::{Duration, SimTime};
-
-use crate::ring::{CompletionBatch, SubmissionBatch};
-
-/// The interface a shard's issue path exposes to an execution backend: admit
-/// a request that arrived at some simulated time, serialise it behind the
-/// engine's previous work, and report `(issue, completion)`.
-///
-/// Implementations must be deterministic in simulated time: the completion
-/// reported for a request may depend only on the engine's state and the
-/// `run` closure, never on host wall-clock or scheduling.
-pub trait ShardEngine {
-    /// Dispatches a request arriving at `arrival`; `run` maps the issue time
-    /// to the completion time (typically by driving an FTL shard). Returns
-    /// `(issue, completion)`.
-    fn dispatch(
-        &mut self,
-        arrival: SimTime,
-        run: &mut dyn FnMut(SimTime) -> SimTime,
-    ) -> (SimTime, SimTime);
-
-    /// Dispatches a whole [`SubmissionBatch`] — the SQ ring window of one
-    /// backend wakeup — appending one `(issue, completion)` pair per entry
-    /// to `out`, in submission order.
-    ///
-    /// `run` maps `(batch index, issue time)` to the completion time; the
-    /// index lets the backend recover which request a callback belongs to
-    /// without the batch carrying payloads.
-    ///
-    /// The contract is *serial identity*: for every engine state and every
-    /// batch, `dispatch_batch` must leave the engine in exactly the state N
-    /// sequential [`ShardEngine::dispatch`] calls would, and report exactly
-    /// their `(issue, completion)` pairs. The default implementation is that
-    /// loop; implementations may only specialise the traversal (fewer
-    /// virtual calls, ring-friendly layout), never the arithmetic.
-    fn dispatch_batch(
-        &mut self,
-        batch: &SubmissionBatch,
-        run: &mut dyn FnMut(usize, SimTime) -> SimTime,
-        out: &mut CompletionBatch,
-    ) {
-        for (index, &arrival) in batch.arrivals().iter().enumerate() {
-            let (issue, completion) = self.dispatch(arrival, &mut |t| run(index, t));
-            out.push(issue, completion);
-        }
-    }
-
-    /// The time the engine becomes free (the completion of its last
-    /// dispatched request).
-    fn free_at(&self) -> SimTime;
-}
 
 /// One serial issue engine: busy from each request's issue until its
 /// completion, with requests queueing FIFO behind it.
@@ -158,44 +96,6 @@ impl SerialEngine {
     }
 }
 
-impl ShardEngine for SerialEngine {
-    fn dispatch(
-        &mut self,
-        arrival: SimTime,
-        run: &mut dyn FnMut(SimTime) -> SimTime,
-    ) -> (SimTime, SimTime) {
-        self.submit(arrival, run)
-    }
-
-    /// Native ring pass: one traversal with the serialisation arithmetic
-    /// inlined — bit-identical to the default per-entry loop (test-pinned),
-    /// without the per-entry virtual `dispatch` hop.
-    fn dispatch_batch(
-        &mut self,
-        batch: &SubmissionBatch,
-        run: &mut dyn FnMut(usize, SimTime) -> SimTime,
-        out: &mut CompletionBatch,
-    ) {
-        for (index, &arrival) in batch.arrivals().iter().enumerate() {
-            let issue = arrival.max(self.free_at);
-            let completion = run(index, issue);
-            assert!(
-                completion >= issue,
-                "completion must not precede issue ({completion} < {issue})"
-            );
-            self.free_at = completion;
-            self.dispatched += 1;
-            self.busy += completion - issue;
-            self.waits.record(issue - arrival);
-            out.push(issue, completion);
-        }
-    }
-
-    fn free_at(&self) -> SimTime {
-        SerialEngine::free_at(self)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -228,93 +128,9 @@ mod tests {
     }
 
     #[test]
-    fn trait_object_dispatch_matches_inherent_submit() {
-        let mut a = SerialEngine::new();
-        let mut b = SerialEngine::new();
-        let direct = a.submit(SimTime::from_micros(3), |t| t + SERVICE);
-        let via_trait = {
-            let engine: &mut dyn ShardEngine = &mut b;
-            engine.dispatch(SimTime::from_micros(3), &mut |t| t + SERVICE)
-        };
-        assert_eq!(direct, via_trait);
-        assert_eq!(ShardEngine::free_at(&b), b.free_at);
-    }
-
-    #[test]
     #[should_panic(expected = "completion must not precede issue")]
     fn time_travel_rejected() {
         let mut e = SerialEngine::new();
         e.submit(SimTime::from_micros(10), |_| SimTime::ZERO);
-    }
-
-    #[test]
-    fn batch_dispatch_equals_sequential_dispatch() {
-        // Arrivals deliberately mix queueing (arrival < free_at) and idle
-        // gaps (arrival > free_at); service depends on the batch index so a
-        // mis-threaded index would surface as a timing difference.
-        let arrivals = [0u64, 0, 5, 400, 120, 401]
-            .into_iter()
-            .map(SimTime::from_micros)
-            .collect::<Vec<_>>();
-        let service = |index: usize, t: SimTime| t + Duration::from_micros(10 + 7 * index as u64);
-
-        let mut serial = SerialEngine::new();
-        let expected: Vec<(SimTime, SimTime)> = arrivals
-            .iter()
-            .enumerate()
-            .map(|(i, &a)| serial.submit(a, |t| service(i, t)))
-            .collect();
-
-        let mut batched = SerialEngine::new();
-        let sq: SubmissionBatch = arrivals.iter().copied().collect();
-        let mut cq = CompletionBatch::new();
-        {
-            let engine: &mut dyn ShardEngine = &mut batched;
-            engine.dispatch_batch(&sq, &mut |i, t| service(i, t), &mut cq);
-        }
-        assert_eq!(cq.entries(), expected.as_slice());
-        assert_eq!(batched.free_at(), serial.free_at());
-        assert_eq!(batched.dispatched(), serial.dispatched());
-        assert_eq!(batched.busy(), serial.busy());
-        assert_eq!(batched.waits().mean(), serial.waits().mean());
-        assert_eq!(batched.waits().max(), serial.waits().max());
-    }
-
-    /// A `ShardEngine` that only has the default `dispatch_batch`.
-    struct DefaultBatcher(SerialEngine);
-
-    impl ShardEngine for DefaultBatcher {
-        fn dispatch(
-            &mut self,
-            arrival: SimTime,
-            run: &mut dyn FnMut(SimTime) -> SimTime,
-        ) -> (SimTime, SimTime) {
-            self.0.submit(arrival, run)
-        }
-        fn free_at(&self) -> SimTime {
-            self.0.free_at()
-        }
-    }
-
-    #[test]
-    fn native_batch_matches_default_loop_implementation() {
-        let arrivals = [3u64, 3, 90, 15, 90]
-            .into_iter()
-            .map(SimTime::from_micros)
-            .collect::<Vec<_>>();
-        let sq: SubmissionBatch = arrivals.iter().copied().collect();
-        let mut run = |i: usize, t: SimTime| t + Duration::from_micros(1 + i as u64);
-
-        let mut native = SerialEngine::new();
-        let mut native_cq = CompletionBatch::new();
-        native.dispatch_batch(&sq, &mut run, &mut native_cq);
-
-        let mut default = DefaultBatcher(SerialEngine::new());
-        let mut default_cq = CompletionBatch::new();
-        default.dispatch_batch(&sq, &mut run, &mut default_cq);
-
-        assert_eq!(native_cq, default_cq);
-        assert_eq!(native.free_at(), default.0.free_at());
-        assert_eq!(native.busy(), default.0.busy());
     }
 }

@@ -12,14 +12,8 @@
 //! * [`QueuePair`] — an NVMe-style bounded submission/completion queue pair
 //!   modelling the host interface at a configurable queue depth; the
 //!   experiment harness threads this through its `run_qd` mode,
-//! * [`SerialEngine`] / [`ShardEngine`] — one FTL translation core: busy
-//!   from each request's issue to its completion, requests queueing FIFO
-//!   behind it; the seam shared by the simulated and the thread-parallel
-//!   execution backends,
-//! * [`SubmissionBatch`] / [`CompletionBatch`] — the SQ/CQ ring images the
-//!   batch entry point [`ShardEngine::dispatch_batch`] consumes and
-//!   produces: one channel round-trip per eligible window instead of per
-//!   request, serially identical to N single dispatches,
+//! * [`SerialEngine`] — one FTL translation core: busy from each request's
+//!   issue to its completion, requests queueing FIFO behind it,
 //! * [`MultiIssuer`] — a bank of serial issue engines modelling the FTL
 //!   frontend's translation cores: one issuer per FTL shard, each processing
 //!   one request at a time (the `ftl-shard` crate routes every shard's
@@ -63,15 +57,13 @@ mod engine;
 mod event;
 mod multi;
 mod queue;
-mod ring;
 mod sched;
 mod tenant;
 
 pub use cmd::{CmdId, CmdKind, Command, Completion, Priority};
-pub use engine::{SerialEngine, ShardEngine};
+pub use engine::SerialEngine;
 pub use event::EventQueue;
 pub use multi::{MultiIssuer, MultiIssuerStats};
 pub use queue::QueuePair;
-pub use ring::{CompletionBatch, SubmissionBatch};
 pub use sched::{ClassStats, IoScheduler, SchedConfig, SchedError, SchedStats};
 pub use tenant::{Arbitration, TenantArbiter, TenantClass, TenantId, TenantPolicy};

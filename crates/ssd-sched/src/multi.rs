@@ -15,11 +15,6 @@
 //! inside the experiment harness), so the two bounds compose: queue depth
 //! limits how many requests the *host* keeps in flight, the issuer bank
 //! limits how many the *device frontend* can translate concurrently.
-//!
-//! The bank is deliberately a thin wrapper: the thread-parallel backend
-//! borrows the individual engines ([`MultiIssuer::engines_mut`]) and hands
-//! each worker thread exclusive access to its shard's engine, so both
-//! backends run the identical per-engine arithmetic.
 
 use metrics::LatencyHistogram;
 use ssd_sim::{Duration, SimTime};
@@ -105,8 +100,8 @@ impl MultiIssuer {
         &self.engines[issuer]
     }
 
-    /// Exclusive access to one engine (the simulated backend dispatches
-    /// through it via the [`crate::ShardEngine`] interface).
+    /// Exclusive access to one engine (the sharded frontend submits each
+    /// shard-local piece through it).
     ///
     /// # Panics
     ///
@@ -115,18 +110,9 @@ impl MultiIssuer {
         &mut self.engines[issuer]
     }
 
-    /// Exclusive access to every engine in the bank. The thread-parallel
-    /// backend splits this slice and lends each worker thread its shard's
-    /// engine, so per-engine state (busy-until, counters) evolves exactly as
-    /// it would under [`MultiIssuer::submit`] on one thread.
-    pub fn engines_mut(&mut self) -> &mut [SerialEngine] {
-        &mut self.engines
-    }
-
     /// Counters accumulated so far, aggregated across the bank. The `waits`
     /// histogram holds every engine's samples (per-engine recording order,
-    /// engines concatenated), which is the same multiset a single-threaded
-    /// interleaving records.
+    /// engines concatenated).
     pub fn stats(&self) -> MultiIssuerStats {
         let mut waits = LatencyHistogram::new();
         for engine in &self.engines {

@@ -5,16 +5,14 @@
 //! models — can emit [`TraceEvent`]s into the [`TraceBuffer`] owned by a
 //! [`crate::FlashDevice`]. The buffer lives here, on the device, because the
 //! device is the one object every layer already holds a `&mut` to at the
-//! moment something trace-worthy happens; no extra plumbing, no shared
-//! handles, and the thread-parallel backend needs no synchronisation (each
-//! shard's device — and therefore its buffer — is owned by exactly one
-//! worker).
+//! moment something trace-worthy happens; no extra plumbing and no shared
+//! handles (each shard's device owns its own buffer).
 //!
 //! Tracing is **off by default** and zero-cost when off: every emission site
 //! is guarded by a single `Option` check on the device, no event is
 //! constructed and nothing allocates. With tracing on, events are appended in
 //! execution order, which is deterministic in simulated time and dispatch
-//! order — identical streams on the simulated and thread-parallel backends.
+//! order — identical streams on every run of the same seeded workload.
 //!
 //! [`TraceSink`] is the seam: [`TraceBuffer`] is the recording sink used
 //! everywhere today, [`NullSink`] is the explicit no-op, and a future
@@ -141,14 +139,6 @@ pub enum TraceData {
         /// The resolution.
         class: TraceReadClass,
     },
-    /// One submission-ring batch executed by a shard's translation engine
-    /// (counter): how many requests the thread-parallel backend coalesced
-    /// into a single channel round-trip. Emitted only by the threaded
-    /// backend — exporters comparing backends must filter it out first.
-    RingBatch {
-        /// Work items in the batch.
-        entries: u32,
-    },
     /// One host request's lifecycle (span from arrival to completion;
     /// `issue` marks the dispatch point inside it).
     HostRequest {
@@ -225,8 +215,7 @@ impl TraceSink for NullSink {
 ///
 /// Events are appended in execution order. Because the simulator is
 /// deterministic in simulated time and dispatch order, two runs of the same
-/// seeded workload produce byte-identical buffers — on either execution
-/// backend.
+/// seeded workload produce byte-identical buffers.
 #[derive(Debug, Clone, Default)]
 pub struct TraceBuffer {
     events: Vec<TraceEvent>,
@@ -274,10 +263,8 @@ impl TraceSink for TraceBuffer {
 /// Merges per-shard event streams into one deterministic trace.
 ///
 /// Each stream is tagged with its shard index and the union is stably sorted
-/// by event start time, so ties preserve (shard, emission) order. Given
-/// identical per-shard streams — which the cross-backend equivalence
-/// guarantees — the merged trace is byte-identical regardless of which
-/// backend (or how many worker threads) produced the shards.
+/// by event start time, so ties preserve (shard, emission) order: identical
+/// per-shard streams always merge into a byte-identical trace.
 pub fn merge_shard_traces(shards: Vec<Vec<TraceEvent>>) -> Vec<TraceEvent> {
     let total = shards.iter().map(Vec::len).sum();
     let mut merged = Vec::with_capacity(total);

@@ -1,8 +1,8 @@
 //! The workspace's only gateway to the host wall clock.
 //!
-//! Simulated time must be a pure function of the workload: the threaded
-//! backend, the ring dispatcher and the trace artifacts are all gated on
-//! bit-for-bit equality, so a stray `Instant::now()` in sim-path code is a
+//! Simulated time must be a pure function of the workload: the run-to-run
+//! determinism suites and the trace artifacts are all gated on bit-for-bit
+//! equality, so a stray `Instant::now()` in sim-path code is a
 //! determinism bug waiting to happen. This module is the single place the
 //! workspace reads the host clock — simlint's `wall-clock` rule denies
 //! `Instant::now`/`SystemTime` everywhere else (see `crates/simlint`), and
@@ -11,7 +11,7 @@
 //!
 //! Legitimate wall-clock uses are *measurements about the simulator*, never
 //! inputs to it: self-profiling rates (`RunResult::profile`), the
-//! `fig25_wallclock_scaling` timing loops, and LearnedFTL's
+//! `fig15_train_cost` timing loops, and LearnedFTL's
 //! `charge_training_time` — which deliberately charges real host compute
 //! onto the simulated timeline and is therefore switched off wherever
 //! determinism is asserted.

@@ -2,25 +2,12 @@
 //! arbitrary traced workloads over the full FTL matrix must satisfy the
 //! latency-decomposition invariant, and the rendered report must be a
 //! deterministic pure function of the trace — identical across repeated
-//! analyses and across the simulated and thread-parallel backends.
+//! analyses.
 
-use harness::experiments::{
-    fio_qd_sharded_traced_run, fio_qd_threaded_traced_run, ExperimentScale,
-};
+use harness::experiments::{fio_qd_sharded_traced_run, ExperimentScale};
 use learnedftl_suite::prelude::*;
 use proptest::prelude::*;
-use ssd_sim::{Geometry, TraceData, TraceEvent};
-
-/// The threaded backend adds `RingBatch` submission-ring counters the
-/// simulated backend has no notion of; drop them before the cross-backend
-/// comparison (their own determinism is pinned by `trace_determinism`).
-fn strip_ring_batches(events: &[TraceEvent]) -> Vec<TraceEvent> {
-    events
-        .iter()
-        .filter(|e| !matches!(e.data, TraceData::RingBatch { .. }))
-        .copied()
-        .collect()
-}
+use ssd_sim::Geometry;
 
 /// Same sizing rationale as the trace-determinism suite: a device every
 /// swept shard count divides cleanly, deeper for LearnedFTL's group rows.
@@ -32,7 +19,7 @@ fn device(kind: FtlKind) -> SsdConfig {
 }
 
 /// A smaller-than-quick measured phase: each proptest case pays for a full
-/// warm-up plus three measured runs, so the measured phase itself can be
+/// warm-up plus a measured run, so the measured phase itself can be
 /// short — the decomposition invariant is per-request, not statistical.
 fn tiny_scale() -> ExperimentScale {
     ExperimentScale {
@@ -60,8 +47,8 @@ proptest! {
     /// workload: every request's decomposition components are individually
     /// bounded by and sum exactly to its measured latency, the analysis
     /// covers every completed request, and the rendered JSON is byte-stable
-    /// across repeated analyses and across execution backends (which also
-    /// pins the top-K exemplar selection as deterministic).
+    /// across repeated analyses (which also pins the top-K exemplar
+    /// selection as deterministic).
     #[test]
     fn prop_decomposition_sums_and_analysis_is_deterministic(
         kind in kind_strategy(),
@@ -117,26 +104,5 @@ proptest! {
             "repeated analysis of the same trace must be byte-identical"
         );
 
-        let threaded = fio_qd_threaded_traced_run(
-            kind,
-            FioPattern::RandRead,
-            threads,
-            depth,
-            shards,
-            shards.clamp(2, 4),
-            device(kind),
-            tiny_scale(),
-        );
-        let threaded_device_events = strip_ring_batches(&threaded.result.trace);
-        prop_assert!(
-            threaded_device_events.len() < threaded.result.trace.len(),
-            "{} shards={}: the threaded trace must carry RingBatch counters",
-            kind, shards
-        );
-        prop_assert_eq!(
-            &json,
-            &metrics::analysis_json(&threaded_device_events, "property"),
-            "{} shards={}: backends must analyse identically", kind, shards
-        );
     }
 }

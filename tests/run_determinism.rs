@@ -1,15 +1,9 @@
-//! Cross-backend equivalence: the thread-parallel execution backend
-//! (`Runner::run_threaded_qd` / `run_threaded_open_loop`) must be
-//! *semantically identical* to the simulated backend (`run_sharded_qd` /
-//! `run_open_loop`) — same per-request simulated-time latencies, same
-//! aggregate flash work, same `FtlStats` (including the order of the GC
-//! event history) — for every FTL design, both GC execution modes and every
-//! shard count, because shards are independent and each worker replays the
-//! same deterministic per-shard stream. Only host wall-clock may differ.
-//!
-//! Each configuration runs the threaded backend twice from identically
-//! prepared devices, pinning run-to-run determinism of the threaded path on
-//! top of the cross-backend agreement.
+//! Run-to-run determinism of the sharded simulator: two identically
+//! prepared runs of the same configuration must be *semantically identical*
+//! — same per-request simulated-time latencies, same aggregate flash work,
+//! same `FtlStats` (including the order of the GC event history) — for every
+//! FTL design, both GC execution modes and every shard count. Only host
+//! wall-clock may differ.
 
 use baselines::BaselineConfig;
 use ftl_base::{Ftl, GcMode};
@@ -52,7 +46,7 @@ fn prepared(kind: FtlKind, mode: GcMode, shards: usize, planes: u32) -> ShardedF
     let learned = LearnedFtlConfig::default()
         .with_gc_mode(mode)
         // Never bill the trainer's host wall clock to the simulated
-        // timeline: the backends deliberately differ in wall clock.
+        // timeline: two runs deliberately differ in wall clock.
         .with_charge_training_time(false);
     let mut ftl = kind.build_sharded_with(device(kind, planes), shards, baseline, learned);
     warmup::sequential_fill(&mut ftl, 32, 1, SimTime::ZERO);
@@ -74,11 +68,11 @@ fn read_phase(pages: u64) -> FioWorkload {
 
 /// Field-wise equality of everything a run measures. `FtlStats` is compared
 /// without the two host wall-clock fields (`sort_wall_time`,
-/// `train_wall_time`): wall clock is exactly what the backends are allowed
-/// to change.
-fn assert_results_equal(context: &str, simulated: &RunResult, threaded: &RunResult) {
-    let mut a = simulated.clone();
-    let mut b = threaded.clone();
+/// `train_wall_time`): wall clock is exactly what two runs are allowed to
+/// change.
+fn assert_results_equal(context: &str, first: &RunResult, second: &RunResult) {
+    let mut a = first.clone();
+    let mut b = second.clone();
     assert_eq!(a.requests, b.requests, "{context}: requests");
     assert_eq!(a.read_pages, b.read_pages, "{context}: read_pages");
     assert_eq!(a.write_pages, b.write_pages, "{context}: write_pages");
@@ -152,14 +146,14 @@ fn assert_results_equal(context: &str, simulated: &RunResult, threaded: &RunResu
     assert_eq!(s.model_predictions, t.model_predictions, "{context}");
 }
 
-fn assert_sharded_equal(context: &str, simulated: &ShardedRunResult, threaded: &ShardedRunResult) {
-    assert_results_equal(context, &simulated.result, &threaded.result);
+fn assert_sharded_equal(context: &str, first: &ShardedRunResult, second: &ShardedRunResult) {
+    assert_results_equal(context, &first.result, &second.result);
     assert_eq!(
-        simulated.lanes.len(),
-        threaded.lanes.len(),
+        first.lanes.len(),
+        second.lanes.len(),
         "{context}: lane count"
     );
-    for (a, b) in simulated.lanes.iter().zip(&threaded.lanes) {
+    for (a, b) in first.lanes.iter().zip(&second.lanes) {
         assert_eq!(
             a.requests, b.requests,
             "{context}: lane {} requests",
@@ -180,58 +174,26 @@ fn assert_sharded_equal(context: &str, simulated: &ShardedRunResult, threaded: &
     }
 }
 
-/// Drives one prepared frontend through a write phase then a read phase on
-/// the given backend (`workers == 0` selects the simulated backend), so the
-/// comparison covers GC-heavy writes, the read path, and backend state
-/// carried *between* measured phases.
-fn two_phase(
-    ftl: &mut ShardedFtl<Box<dyn Ftl>>,
-    workers: usize,
-) -> (ShardedRunResult, ShardedRunResult) {
+/// Drives one prepared frontend through a write phase then a read phase, so
+/// the comparison covers GC-heavy writes, the read path, and state carried
+/// *between* measured phases.
+fn two_phase(ftl: &mut ShardedFtl<Box<dyn Ftl>>) -> (ShardedRunResult, ShardedRunResult) {
     let pages = ftl.logical_pages();
     let runner = Runner::new();
-    let writes = if workers == 0 {
-        runner.run_sharded_qd(ftl, &mut write_phase(pages), 8)
-    } else {
-        runner.run_threaded_qd(ftl, &mut write_phase(pages), 8, workers)
-    };
-    let reads = if workers == 0 {
-        runner.run_sharded_qd(ftl, &mut read_phase(pages), 8)
-    } else {
-        runner.run_threaded_qd(ftl, &mut read_phase(pages), 8, workers)
-    };
+    let writes = runner.run_sharded_qd(ftl, &mut write_phase(pages), 8);
+    let reads = runner.run_sharded_qd(ftl, &mut read_phase(pages), 8);
     (writes, reads)
 }
 
 fn check_configuration(kind: FtlKind, mode: GcMode, shards: usize, planes: u32) {
     let context = format!("{kind} {mode:?} shards={shards} planes={planes}");
-
-    let mut simulated = prepared(kind, mode, shards, planes);
-    let (sim_writes, sim_reads) = two_phase(&mut simulated, 0);
-
-    // Threaded, run twice from identically prepared devices: the first run
-    // pins cross-backend agreement, the second pins determinism.
-    let workers = shards.clamp(2, 4);
-    let mut threaded_a = prepared(kind, mode, shards, planes);
-    let (thr_writes_a, thr_reads_a) = two_phase(&mut threaded_a, workers);
-    let mut threaded_b = prepared(kind, mode, shards, planes);
-    let (thr_writes_b, thr_reads_b) = two_phase(&mut threaded_b, workers);
-
-    assert_sharded_equal(&format!("{context} [writes]"), &sim_writes, &thr_writes_a);
-    assert_sharded_equal(&format!("{context} [reads]"), &sim_reads, &thr_reads_a);
-    assert_sharded_equal(
-        &format!("{context} [writes, rerun]"),
-        &thr_writes_a,
-        &thr_writes_b,
-    );
-    assert_sharded_equal(
-        &format!("{context} [reads, rerun]"),
-        &thr_reads_a,
-        &thr_reads_b,
-    );
+    let (writes_a, reads_a) = two_phase(&mut prepared(kind, mode, shards, planes));
+    let (writes_b, reads_b) = two_phase(&mut prepared(kind, mode, shards, planes));
+    assert_sharded_equal(&format!("{context} [writes]"), &writes_a, &writes_b);
+    assert_sharded_equal(&format!("{context} [reads]"), &reads_a, &reads_b);
 }
 
-macro_rules! equivalence_tests {
+macro_rules! determinism_tests {
     ($($name:ident / $name2:ident: $kind:expr, $mode:expr;)*) => {
         $(
             #[test]
@@ -243,7 +205,7 @@ macro_rules! equivalence_tests {
 
             /// The same configuration on a two-plane geometry: plane-parallel
             /// dispatch and multi-plane program groups must stay
-            /// deterministic and backend-agnostic too. One sharded
+            /// deterministic too. One sharded
             /// configuration (shards=2) bounds the extra runtime — the
             /// single-shard planes=2 path is pinned by the crate-level
             /// equivalence tests and `fig26_plane_scaling`.
@@ -255,7 +217,7 @@ macro_rules! equivalence_tests {
     };
 }
 
-equivalence_tests! {
+determinism_tests! {
     dftl_blocking / dftl_blocking_planes2: FtlKind::Dftl, GcMode::Blocking;
     dftl_scheduled / dftl_scheduled_planes2: FtlKind::Dftl, GcMode::Scheduled;
     tpftl_blocking / tpftl_blocking_planes2: FtlKind::Tpftl, GcMode::Blocking;
@@ -274,7 +236,7 @@ fn scheduled_write_phase_actually_collects() {
     // collections (otherwise the GC-mode dimension would be vacuous).
     let mut ftl = prepared(FtlKind::Dftl, GcMode::Scheduled, 1, 1);
     let pages = ftl.logical_pages();
-    let result = Runner::new().run_threaded_qd(&mut ftl, &mut write_phase(pages), 8, 2);
+    let result = Runner::new().run_sharded_qd(&mut ftl, &mut write_phase(pages), 8);
     assert!(
         result.result.stats.gc_count > 0,
         "write phase must trigger collections, got none"
@@ -291,7 +253,7 @@ fn planes2_write_phase_actually_collects() {
     // over-provisioning must not make the GC dimension vacuous.
     let mut ftl = prepared(FtlKind::Dftl, GcMode::Scheduled, 2, 2);
     let pages = ftl.logical_pages();
-    let result = Runner::new().run_threaded_qd(&mut ftl, &mut write_phase(pages), 8, 2);
+    let result = Runner::new().run_sharded_qd(&mut ftl, &mut write_phase(pages), 8);
     assert!(
         result.result.stats.gc_count > 0,
         "planes=2 write phase must trigger collections, got none"
@@ -299,33 +261,16 @@ fn planes2_write_phase_actually_collects() {
 }
 
 #[test]
-fn threaded_open_loop_equivalence_and_determinism() {
+fn open_loop_runs_are_deterministic() {
     // The open-loop runner has no host queue feedback; cover it for a
     // representative pair of designs at shards=4.
     for kind in [FtlKind::Dftl, FtlKind::LearnedFtl] {
         let mean = ssd_sim::Duration::from_micros(25);
-        let mut simulated = prepared(kind, GcMode::Blocking, 4, 1);
-        let pages = simulated.logical_pages();
-        let sim = Runner::new().run_open_loop(&mut simulated, &mut read_phase(pages), mean, 7);
-
-        let mut threaded_a = prepared(kind, GcMode::Blocking, 4, 1);
-        let thr_a = Runner::new().run_threaded_open_loop(
-            &mut threaded_a,
-            &mut read_phase(pages),
-            mean,
-            7,
-            4,
-        );
-        let mut threaded_b = prepared(kind, GcMode::Blocking, 4, 1);
-        let thr_b = Runner::new().run_threaded_open_loop(
-            &mut threaded_b,
-            &mut read_phase(pages),
-            mean,
-            7,
-            4,
-        );
-
-        assert_results_equal(&format!("{kind} open-loop"), &sim, &thr_a);
-        assert_results_equal(&format!("{kind} open-loop rerun"), &thr_a, &thr_b);
+        let run = || {
+            let mut ftl = prepared(kind, GcMode::Blocking, 4, 1);
+            let pages = ftl.logical_pages();
+            Runner::new().run_open_loop(&mut ftl, &mut read_phase(pages), mean, 7)
+        };
+        assert_results_equal(&format!("{kind} open-loop"), &run(), &run());
     }
 }

@@ -1,26 +1,19 @@
 //! Trace determinism: structured tracing must be a pure *observer*.
 //!
-//! Three properties pin that down, each over the full FTL-design matrix at
+//! Two properties pin that down, each over the full FTL-design matrix at
 //! shard counts {1, 4}:
 //!
 //! * **run-to-run determinism** — the same seed produces byte-identical
 //!   Chrome trace JSON (and metrics CSV, and trace-analysis report) across
 //!   two traced runs,
-//! * **backend independence** — the thread-parallel backend
-//!   (`Runner::run_threaded_qd`) produces the byte-identical trace (and
-//!   analysis report) to the simulated backend: per-shard streams are recorded worker-locally and
-//!   merged in shard order, so the interleaving of worker threads must never
-//!   leak into the artifact,
 //! * **zero observer effect** — enabling tracing changes nothing the run
 //!   measures: simulated time, latency distributions, flash work and FTL
 //!   statistics are bit-for-bit those of the untraced run.
 
-use harness::experiments::{
-    fio_qd_sharded_run, fio_qd_sharded_traced_run, fio_qd_threaded_traced_run, ExperimentScale,
-};
+use harness::experiments::{fio_qd_sharded_run, fio_qd_sharded_traced_run, ExperimentScale};
 use harness::{FtlKind, ShardedRunResult};
 use metrics::{chrome_trace_json, metrics_csv, validate_chrome_trace};
-use ssd_sim::{Duration, Geometry, SsdConfig, TraceData, TraceEvent};
+use ssd_sim::{Duration, Geometry, SsdConfig};
 use workloads::FioPattern;
 
 const KINDS: [FtlKind; 5] = [
@@ -32,7 +25,7 @@ const KINDS: [FtlKind; 5] = [
 ];
 
 /// A device every swept shard count {1, 4} divides cleanly (same sizing
-/// rationale as the cross-backend equivalence suite): 4 channels × 2 chips
+/// rationale as the run-determinism suite): 4 channels × 2 chips
 /// with 256-page blocks, deeper for LearnedFTL's group-row reserve.
 fn device(kind: FtlKind) -> SsdConfig {
     let blocks = if kind == FtlKind::LearnedFtl { 16 } else { 8 };
@@ -85,81 +78,6 @@ fn same_seed_produces_byte_identical_artifacts() {
             assert!(summary.plane_spans > 0, "{kind}: no plane activity traced");
             assert!(summary.host_spans > 0, "{kind}: no host request spans");
             assert!(summary.flows > 0, "{kind}: no request flow arrows");
-        }
-    }
-}
-
-fn traced_threaded(kind: FtlKind, shards: usize) -> ShardedRunResult {
-    fio_qd_threaded_traced_run(
-        kind,
-        FioPattern::RandRead,
-        4,
-        8,
-        shards,
-        shards.clamp(2, 4),
-        device(kind),
-        ExperimentScale::quick(),
-    )
-}
-
-/// Drops the threaded backend's `RingBatch` counters: they describe the
-/// execution backend (how many requests shared one channel round-trip), not
-/// the simulated device, so cross-backend comparisons remove them first.
-fn strip_ring_batches(events: &[TraceEvent]) -> Vec<TraceEvent> {
-    events
-        .iter()
-        .filter(|e| !matches!(e.data, TraceData::RingBatch { .. }))
-        .copied()
-        .collect()
-}
-
-#[test]
-fn threaded_backend_produces_the_identical_trace() {
-    for kind in KINDS {
-        for shards in [1usize, 4] {
-            let simulated = traced_sim(kind, shards);
-            let threaded = traced_threaded(kind, shards);
-            let device_events = strip_ring_batches(&threaded.result.trace);
-            assert!(
-                device_events.len() < threaded.result.trace.len(),
-                "{kind} shards={shards}: threaded trace carries no ring-batch counters"
-            );
-            assert_eq!(
-                chrome_trace_json(&simulated.result.trace),
-                chrome_trace_json(&device_events),
-                "{kind} shards={shards}: threaded backend changed the trace"
-            );
-            assert_eq!(
-                metrics::analysis_json(&simulated.result.trace, "determinism"),
-                metrics::analysis_json(&device_events, "determinism"),
-                "{kind} shards={shards}: threaded backend changed the analysis"
-            );
-        }
-    }
-}
-
-#[test]
-fn threaded_traces_are_deterministic_including_ring_batches() {
-    // The submission windows themselves must be reproducible: two threaded
-    // runs of the same seed agree on the rebased artifacts *with* the
-    // backend's RingBatch counters left in — batch boundaries are a pure
-    // function of dispatch history, never of worker-thread timing. (Raw
-    // `SimTime`s are compared rebased because LearnedFTL bills trainer wall
-    // clock to the timeline during warm-up; see `metrics::sim_trace`.)
-    for kind in [FtlKind::Dftl, FtlKind::LearnedFtl] {
-        for shards in [1usize, 4] {
-            let a = traced_threaded(kind, shards);
-            let b = traced_threaded(kind, shards);
-            assert_eq!(
-                chrome_trace_json(&a.result.trace),
-                chrome_trace_json(&b.result.trace),
-                "{kind} shards={shards}: threaded trace differs between identical runs"
-            );
-            assert_eq!(
-                metrics::analysis_json(&a.result.trace, "ring"),
-                metrics::analysis_json(&b.result.trace, "ring"),
-                "{kind} shards={shards}: threaded analysis differs between identical runs"
-            );
         }
     }
 }
