@@ -16,7 +16,7 @@ use workloads::{
 
 use crate::kind::FtlKind;
 use crate::result::{RunResult, ShardedRunResult, TenantRunResult};
-use crate::runner::Runner;
+use crate::runner::{push_gc_instants, Runner};
 
 /// How much work each experiment does. The paper's runs write the device six
 /// times over and replay million-request traces; the scaled settings keep the
@@ -443,26 +443,7 @@ fn fold_drained_gc_trace(ftl: &mut crate::ShardedFtl<Box<dyn Ftl>>, result: &mut
     result
         .trace
         .retain(|e| !matches!(e.data, TraceData::GcTrigger | TraceData::GcComplete));
-    let instant = |at: ssd_sim::SimTime, data: TraceData| ssd_sim::TraceEvent {
-        start: at,
-        end: at,
-        shard: 0,
-        data,
-    };
-    let mut triggers = result.stats.gc_events.clone();
-    triggers.sort_unstable();
-    let mut completes = result.stats.gc_complete_events.clone();
-    completes.sort_unstable();
-    result.trace.extend(
-        triggers
-            .into_iter()
-            .map(|at| instant(at, TraceData::GcTrigger)),
-    );
-    result.trace.extend(
-        completes
-            .into_iter()
-            .map(|at| instant(at, TraceData::GcComplete)),
-    );
+    push_gc_instants(&mut result.trace, &result.stats);
     result.trace.sort_by_key(|e| e.start);
     result.profile.trace_events = result.trace.len() as u64;
 }
@@ -623,18 +604,10 @@ pub fn rocksdb_run(
     // fillseq until the DB footprint is written once.
     let fill_ops = (db_pages / u64::from(RocksDbWorkload::SSTABLE_PAGES)).max(1);
     let mut fill = RocksDbWorkload::new(RocksDbPhase::FillSeq, db_pages, fill_ops, 1);
-    Runner::with_config(crate::runner::RunnerConfig {
-        reset_stats_before_run: false,
-        start: ssd_sim::SimTime::ZERO,
-    })
-    .run(ftl.as_mut(), &mut fill);
+    Runner::new().run(ftl.as_mut(), &mut fill);
     // overwrite pass: compaction-shaped churn.
     let mut over = RocksDbWorkload::new(RocksDbPhase::Overwrite, db_pages, fill_ops / 2 + 1, 2);
-    Runner::with_config(crate::runner::RunnerConfig {
-        reset_stats_before_run: false,
-        start: ssd_sim::SimTime::ZERO,
-    })
-    .run(ftl.as_mut(), &mut over);
+    Runner::new().run(ftl.as_mut(), &mut over);
     // Measured phase.
     let ops = match phase {
         RocksDbPhase::ReadSeq => scale.single_stream_ops / 8,

@@ -21,9 +21,12 @@ pub struct RunResult {
     pub elapsed: Duration,
     /// Per-request latency samples (arrival to completion).
     pub latencies: LatencyHistogram,
-    /// Per-request queueing delay (arrival to issue). Only the queue-depth
-    /// runner ([`crate::Runner::run_qd`]) models a bounded host queue, so the
-    /// closed-loop [`crate::Runner::run`] leaves this histogram empty.
+    /// Per-request queueing delay (arrival to issue), recorded where the host
+    /// model bounds admission: the queue-depth runners
+    /// ([`crate::Runner::run_qd`], [`crate::Runner::run_sharded_qd`]) and
+    /// tenant admission ([`crate::Runner::run_tenants`]). The closed-loop
+    /// [`crate::Runner::run`] and the open-loop
+    /// [`crate::Runner::run_open_loop`] leave this histogram empty.
     pub queueing: LatencyHistogram,
     /// FTL-level statistics accumulated during the run (hit ratios, multi-read
     /// breakdown, GC, write amplification inputs).
@@ -49,7 +52,7 @@ pub struct RunResult {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SelfProfile {
     /// Host wall-clock time the run loop took (submission of the first
-    /// request to the last completion record, including worker threads).
+    /// request to the last completion record).
     pub wall: std::time::Duration,
     /// Host requests the run completed (copied from the result for rate
     /// computation).

@@ -1,14 +1,15 @@
-//! The closed-loop host model.
+//! The host models. Every [`Runner`] entry point drives the same event
+//! loop; they differ only in how requests are admitted to the FTL.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
-use ftl_base::{Ftl, HostOp, HostRequest};
-use ftl_shard::ShardedFtl;
+use ftl_base::{Ftl, FtlStats, HostOp, HostRequest};
+use ftl_shard::{ShardMap, ShardedFtl};
 use metrics::LatencyHistogram;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use ssd_sched::{TenantArbiter, TenantClass, TenantPolicy};
+use ssd_sched::{QueuePair, TenantArbiter, TenantClass, TenantPolicy};
 use ssd_sim::{Duration, SimTime, TraceData, TraceEvent};
 use workloads::{TenantSet, Workload};
 
@@ -16,402 +17,439 @@ use crate::result::{
     RunResult, SelfProfile, ShardLane, ShardedRunResult, TenantLane, TenantRunResult,
 };
 
-/// One host request's trace bookkeeping, recorded (only while tracing) in
-/// the order requests are popped.
-struct HostSpan {
-    arrival: SimTime,
-    issue: SimTime,
-    completion: SimTime,
-    lane: u32,
-    /// The clock domain the span's times belong to: the serving shard where
-    /// lanes are shards (the sharded queue-depth runners), shard 0 otherwise
-    /// (single-device runners and the stream-lane open-loop runners). The
-    /// exporters rebase each shard's timeline onto its own epoch, so every
-    /// event must declare which timeline it rides.
-    shard: u32,
-    write: bool,
-    pages: u32,
-    tenant: u32,
-}
-
-/// Assembles the run's final trace: the FTL's device/scheduler/GC events,
-/// the GC trigger/complete instants synthesised from [`ftl_base::FtlStats`]
-/// (sorted by time so shard merge order cannot leak in), and one
-/// flow-linked host-request span per popped request — stably sorted by start
-/// time, so identical inputs produce byte-identical traces.
-fn assemble_trace(ftl: &mut dyn Ftl, host: &[HostSpan]) -> Vec<TraceEvent> {
-    let mut trace = ftl.take_trace();
-    let instant = |at: SimTime, data: TraceData| TraceEvent {
-        start: at,
-        end: at,
-        shard: 0,
-        data,
-    };
-    let stats = ftl.stats();
-    let mut triggers = stats.gc_events.clone();
-    triggers.sort_unstable();
-    let mut completes = stats.gc_complete_events.clone();
-    completes.sort_unstable();
-    trace.extend(
-        triggers
-            .into_iter()
-            .map(|at| instant(at, TraceData::GcTrigger)),
-    );
-    trace.extend(
-        completes
-            .into_iter()
-            .map(|at| instant(at, TraceData::GcComplete)),
-    );
-    for (req, span) in host.iter().enumerate() {
-        trace.push(TraceEvent {
-            start: span.arrival,
-            end: span.completion,
-            shard: span.shard,
-            data: TraceData::HostRequest {
-                req: req as u64,
-                lane: span.lane,
-                write: span.write,
-                pages: span.pages,
-                tenant: span.tenant,
-                issue: span.issue,
-            },
-        });
+/// Appends the GC trigger/complete instants recorded in `stats`, each kind
+/// sorted by time so shard merge order cannot leak into the trace.
+pub(crate) fn push_gc_instants(trace: &mut Vec<TraceEvent>, stats: &FtlStats) {
+    for (times, data) in [
+        (&stats.gc_events, TraceData::GcTrigger),
+        (&stats.gc_complete_events, TraceData::GcComplete),
+    ] {
+        let mut times = times.clone();
+        times.sort_unstable();
+        trace.extend(times.into_iter().map(|at| TraceEvent {
+            start: at,
+            end: at,
+            shard: 0,
+            data,
+        }));
     }
-    trace.sort_by_key(|e| e.start);
-    trace
 }
 
-/// Everything the tenant admission loop measures; [`Runner::run_tenants`]
-/// wraps this into a [`TenantRunResult`] after adding the FTL-side
-/// statistics.
-struct TenantAdmission {
-    lanes: Vec<TenantLane>,
-    host_spans: Vec<HostSpan>,
-    queueing: LatencyHistogram,
+/// One lane's share of a run: a serving shard's, or a tenant's under tenant
+/// admission.
+#[derive(Default)]
+struct Lane {
     requests: u64,
     read_pages: u64,
     write_pages: u64,
-    bytes: u64,
-    last_completion: SimTime,
+    latencies: LatencyHistogram,
 }
 
-/// The weighted-arbitration policy a [`TenantSet`] implies: one foreground
-/// class per tenant (carrying the spec's weight and starvation bound) plus
-/// the mandatory background GC class, which the admission loop never
-/// presents — host-level arbitration only ranks tenants against each other.
-fn tenant_policy(tenants: &TenantSet) -> TenantPolicy {
-    let classes: Vec<TenantClass> = (0..tenants.num_tenants())
-        .map(|t| {
+/// A request the admission policy hands to the FTL.
+struct Admitted {
+    req: HostRequest,
+    /// When the request reached the host; its latency counts from here.
+    arrival: SimTime,
+    /// The earliest instant it may issue (a closed loop's queue pair may
+    /// hold it back further).
+    dispatch: SimTime,
+    /// The issuing stream, or under tenant admission the dispatching shard.
+    slot: usize,
+}
+
+/// How host requests reach the FTL: the one thing the host models differ in.
+enum Admission<'w> {
+    /// Closed-loop streams: every stream (FIO thread) issues its next
+    /// request as soon as its previous one completes, the stream whose
+    /// previous request finished earliest going first, and each request
+    /// takes a slot of `queue`.
+    Closed {
+        workload: &'w mut dyn Workload,
+        queue: QueuePair,
+        /// Each live stream, keyed by the instant it is ready to issue.
+        ready: BinaryHeap<Reverse<(SimTime, usize)>>,
+        /// Whether `queue` bounds the host. Without a bound every stream has
+        /// its own slot, nothing queues and no queueing is recorded.
+        bounded: bool,
+        /// Whether trace spans report serving shards as their lanes rather
+        /// than issuing streams.
+        shard_spans: bool,
+    },
+    /// Open-loop arrivals on a seeded Poisson process, cycling round-robin
+    /// over the workload's streams, with no host queue.
+    Open {
+        workload: &'w mut dyn Workload,
+        rng: StdRng,
+        mean: Duration,
+        arrival: SimTime,
+        stream: usize,
+    },
+    /// Per-shard tenant backlogs.
+    Tenants(Backlogs<'w>),
+}
+
+impl<'w> Admission<'w> {
+    fn closed(workload: &'w mut dyn Workload, depth: Option<usize>, shard_spans: bool) -> Self {
+        Admission::Closed {
+            queue: QueuePair::new(depth.unwrap_or(workload.streams().max(1))),
+            ready: BinaryHeap::new(),
+            bounded: depth.is_some(),
+            workload,
+            shard_spans,
+        }
+    }
+
+    /// Sets the admission clocks to the run's first instant.
+    fn begin(&mut self, start: SimTime) {
+        match self {
+            Admission::Closed {
+                workload, ready, ..
+            } => ready.extend((0..workload.streams()).map(|s| Reverse((start, s)))),
+            Admission::Open { arrival, .. } => *arrival = start,
+            Admission::Tenants(backlogs) => {
+                backlogs.free_at.fill(start);
+                for t in 0..backlogs.next.len() {
+                    backlogs.arrive(t, start);
+                }
+            }
+        }
+    }
+
+    /// The next request to serve, or `None` once every source is exhausted.
+    fn next(&mut self, map: ShardMap) -> Option<Admitted> {
+        match self {
+            Admission::Closed {
+                workload, ready, ..
+            } => {
+                while let Some(Reverse((arrival, stream))) = ready.pop() {
+                    // An exhausted stream is not re-queued.
+                    if let Some(req) = workload.next_request(stream) {
+                        return Some(Admitted {
+                            req,
+                            arrival,
+                            dispatch: arrival,
+                            slot: stream,
+                        });
+                    }
+                }
+                None
+            }
+            Admission::Open {
+                workload,
+                rng,
+                mean,
+                arrival,
+                stream,
+            } => {
+                let streams = workload.streams();
+                for _ in 0..streams {
+                    let issuing = *stream;
+                    *stream = (issuing + 1) % streams;
+                    if let Some(req) = workload.next_request(issuing) {
+                        let at = *arrival;
+                        *arrival += exponential(rng, *mean);
+                        return Some(Admitted {
+                            req,
+                            arrival: at,
+                            dispatch: at,
+                            slot: issuing,
+                        });
+                    }
+                }
+                None
+            }
+            Admission::Tenants(backlogs) => backlogs.next(map),
+        }
+    }
+
+    /// Serves `admitted` on `ftl` (the one place any host model submits)
+    /// and returns its issue and completion instants.
+    fn serve<F: Ftl + ?Sized>(&mut self, ftl: &mut F, admitted: &Admitted) -> (SimTime, SimTime) {
+        let mut submit = |issue| ftl.submit(admitted.req, issue);
+        let dispatch = admitted.dispatch;
+        match self {
+            Admission::Closed { queue, ready, .. } => {
+                let (issue, completion) = queue.submit(admitted.arrival, submit);
+                ready.push(Reverse((completion, admitted.slot)));
+                (issue, completion)
+            }
+            Admission::Open { .. } => (dispatch, submit(dispatch)),
+            Admission::Tenants(backlogs) => {
+                let completion = submit(dispatch);
+                backlogs.free_at[admitted.slot] = completion;
+                (dispatch, completion)
+            }
+        }
+    }
+}
+
+/// Tenant admission: per-tenant Poisson arrival streams merge in arrival
+/// order into per-shard per-tenant backlogs, and each shard dispatches one
+/// request at a time, at `max(shard free, earliest queued arrival)`. The
+/// next tenant is picked by weighted arbitration (one [`TenantArbiter`] per
+/// shard, every backlogged tenant contending) or, without arbiters, in
+/// plain FIFO arrival order. The shard pacing clock is the FTL's completion
+/// time for the shard's previous request, which both variants share,
+/// keeping the isolated-vs-FIFO comparison apples-to-apples.
+struct Backlogs<'w> {
+    tenants: &'w mut TenantSet,
+    /// One arbiter per shard; empty for FIFO admission.
+    arbiters: Vec<TenantArbiter>,
+    yielded: Vec<usize>,
+    /// Each tenant's next arrival, not yet backlogged.
+    next: Vec<Option<(SimTime, HostRequest)>>,
+    /// Per-shard per-tenant queues, each in arrival order.
+    queues: Vec<Vec<VecDeque<(SimTime, HostRequest)>>>,
+    /// When each shard may dispatch again.
+    free_at: Vec<SimTime>,
+}
+
+impl<'w> Backlogs<'w> {
+    fn new(tenants: &'w mut TenantSet, shards: usize, isolate: bool) -> Self {
+        let n = tenants.num_tenants();
+        // One foreground class per tenant (its spec's weight and starvation
+        // bound) plus the mandatory background GC class, which is never
+        // presented: host-level arbitration only ranks tenants.
+        let classes = (0..n).map(|t| {
             let spec = tenants.spec(t);
             TenantClass {
                 weight: spec.weight.max(1),
                 starvation_bound: spec.starvation_bound,
             }
-        })
-        .chain(std::iter::once(TenantClass::background(u32::MAX)))
-        .collect();
-    TenantPolicy::new(classes)
-}
-
-/// The multi-tenant admission loop behind [`Runner::run_tenants`]:
-/// per-tenant Poisson arrival streams are merged in arrival order into
-/// per-shard per-tenant backlogs, and each shard dispatches one request at a
-/// time — at `max(shard free, earliest queued arrival)` — picking the next
-/// tenant either by weighted arbitration (`policy` set: one
-/// [`TenantArbiter`] per shard, every backlogged tenant contending) or in
-/// plain FIFO arrival order (`policy` empty: the no-isolation baseline).
-///
-/// Latencies are recorded against the *true* arrival, so time spent queued
-/// behind other tenants' backlogs counts — that queueing is exactly where
-/// isolation pays off. The shard pacing clock is the FTL's completion time
-/// for the previous request, which both variants share, keeping the
-/// isolated-vs-FIFO comparison apples-to-apples.
-#[allow(clippy::too_many_arguments)]
-fn run_tenant_admission(
-    tenants: &mut TenantSet,
-    start: SimTime,
-    shards: usize,
-    shard_of: impl Fn(u64) -> usize,
-    mut submit: impl FnMut(HostRequest, SimTime) -> SimTime,
-    policy: Option<&TenantPolicy>,
-    tracing: bool,
-    page_size: u32,
-) -> TenantAdmission {
-    let n = tenants.num_tenants();
-    let mut lanes: Vec<TenantLane> = (0..n)
-        .map(|t| TenantLane {
-            tenant: t as u32,
-            requests: 0,
-            read_pages: 0,
-            write_pages: 0,
-            latencies: LatencyHistogram::new(),
-        })
-        .collect();
-    let mut host_spans: Vec<HostSpan> = Vec::new();
-    let mut queueing = LatencyHistogram::new();
-    let mut requests = 0u64;
-    let mut read_pages = 0u64;
-    let mut write_pages = 0u64;
-    let mut bytes = 0u64;
-    let mut last_completion = start;
-
-    // Per-tenant arrival clocks and the next pending (not yet enqueued)
-    // arrival of each tenant.
-    let mut clocks: Vec<SimTime> = vec![start; n];
-    let advance = |tenants: &mut TenantSet, t: usize, clocks: &mut Vec<SimTime>| {
-        tenants.next_request(t).map(|(gap, req)| {
-            clocks[t] += gap;
-            (clocks[t], req)
-        })
-    };
-    let mut next: Vec<Option<(SimTime, HostRequest)>> =
-        (0..n).map(|t| advance(tenants, t, &mut clocks)).collect();
-
-    // Per-shard per-tenant backlogs (each tenant's queue is in arrival
-    // order), per-shard pacing clocks and arbiters.
-    let mut backlog: Vec<Vec<VecDeque<(SimTime, HostRequest)>>> =
-        (0..shards).map(|_| vec![VecDeque::new(); n]).collect();
-    let mut queued: Vec<usize> = vec![0; shards];
-    let mut free_at: Vec<SimTime> = vec![start; shards];
-    let mut arbiters: Vec<TenantArbiter> = policy
-        .map(|p| (0..shards).map(|_| TenantArbiter::new(p)).collect())
-        .unwrap_or_default();
-    let mut yielded: Vec<usize> = Vec::new();
-
-    loop {
-        // The next arrival across tenants (earliest time, lowest tenant).
-        let arrival = next
-            .iter()
-            .enumerate()
-            .filter_map(|(t, slot)| slot.as_ref().map(|&(at, _)| (at, t)))
-            .min();
-        // The next dispatch opportunity across shards (earliest time,
-        // lowest shard).
-        let mut dispatch: Option<(SimTime, usize)> = None;
-        for s in 0..shards {
-            if queued[s] == 0 {
-                continue;
-            }
-            let earliest = backlog[s]
-                .iter()
-                .filter_map(|q| q.front().map(|&(at, _)| at))
-                .min()
-                .expect("a queued shard has a head");
-            let d = free_at[s].max(earliest);
-            if dispatch.is_none_or(|best| (d, s) < best) {
-                dispatch = Some((d, s));
-            }
-        }
-        match (arrival, dispatch) {
-            (None, None) => break,
-            // Arrivals first on ties, so every request arriving at or
-            // before a dispatch instant is backlogged (and eligible) by the
-            // time the pick happens.
-            (Some((at, t)), d) if d.is_none_or(|(dd, _)| at <= dd) => {
-                let (_, req) = next[t].take().expect("arrival slot is present");
-                let s = shard_of(req.lpn);
-                backlog[s][t].push_back((at, req));
-                queued[s] += 1;
-                next[t] = advance(tenants, t, &mut clocks);
-            }
-            (_, Some((d, s))) => {
-                let winner = match policy {
-                    Some(_) => {
-                        arbiters[s]
-                            .decide(
-                                |c| c < n && backlog[s][c].front().is_some_and(|&(at, _)| at <= d),
-                                // Host-level admission is one slot per shard:
-                                // every eligible tenant contends for it.
-                                |_, _| true,
-                                &mut yielded,
-                            )
-                            .expect("an eligible tenant exists at dispatch time")
-                            .winner
-                    }
-                    None => {
-                        (0..n)
-                            .filter_map(|t| backlog[s][t].front().map(|&(at, _)| (at, t)))
-                            .filter(|&(at, _)| at <= d)
-                            .min()
-                            .expect("an eligible tenant exists at dispatch time")
-                            .1
-                    }
-                };
-                let (arrived, req) = backlog[s][winner].pop_front().expect("winner has a head");
-                queued[s] -= 1;
-                let completion = submit(req, d);
-                free_at[s] = completion;
-
-                lanes[winner].requests += 1;
-                lanes[winner].latencies.record(completion - arrived);
-                queueing.record(d - arrived);
-                requests += 1;
-                bytes += req.bytes(page_size);
-                match req.op {
-                    HostOp::Read => {
-                        read_pages += u64::from(req.pages);
-                        lanes[winner].read_pages += u64::from(req.pages);
-                    }
-                    HostOp::Write => {
-                        write_pages += u64::from(req.pages);
-                        lanes[winner].write_pages += u64::from(req.pages);
-                    }
-                }
-                if tracing {
-                    host_spans.push(HostSpan {
-                        arrival: arrived,
-                        issue: d,
-                        completion,
-                        lane: s as u32,
-                        shard: s as u32,
-                        write: req.op == HostOp::Write,
-                        pages: req.pages,
-                        tenant: req.tenant,
-                    });
-                }
-                last_completion = last_completion.max(completion);
-            }
-            (Some(_), None) => unreachable!("an unguarded arrival always wins"),
-        }
-    }
-
-    TenantAdmission {
-        lanes,
-        host_spans,
-        queueing,
-        requests,
-        read_pages,
-        write_pages,
-        bytes,
-        last_completion,
-    }
-}
-
-/// Options for a measurement run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RunnerConfig {
-    /// Reset the FTL and device statistics before the measured run (so the
-    /// result reflects only the measured phase, not the warm-up).
-    pub reset_stats_before_run: bool,
-    /// The simulated time at which the run starts. Using the warm-up's
-    /// completion time keeps the device timelines realistic.
-    pub start: SimTime,
-}
-
-impl Default for RunnerConfig {
-    fn default() -> Self {
-        RunnerConfig {
-            reset_stats_before_run: true,
-            start: SimTime::ZERO,
-        }
-    }
-}
-
-/// Drives a [`Workload`] against an [`Ftl`] with the closed-loop model used
-/// throughout the paper's evaluation: every stream (FIO thread) issues its
-/// next request as soon as its previous request completes, and the runner
-/// always advances the stream whose previous request finished earliest.
-#[derive(Debug, Clone, Default)]
-pub struct Runner {
-    config: RunnerConfig,
-}
-
-impl Runner {
-    /// Creates a runner with default options.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates a runner with explicit options.
-    pub fn with_config(config: RunnerConfig) -> Self {
-        Runner { config }
-    }
-
-    /// Runs the workload to completion and collects the measurements.
-    ///
-    /// Deliberately *not* implemented as `run_qd(depth = streams)`, although
-    /// the results are identical then: this is the reference closed-loop
-    /// model the queue-depth runner is validated against (see the
-    /// `qd1_single_stream_matches_legacy_run_bit_for_bit` and
-    /// `qd_equal_to_streams_matches_unbounded_run` tests), so the two paths
-    /// must stay independent. Behavioral changes to the accounting here must
-    /// be mirrored in [`Runner::run_qd`].
-    pub fn run(&self, ftl: &mut dyn Ftl, workload: &mut dyn Workload) -> RunResult {
-        if self.config.reset_stats_before_run {
-            ftl.reset_stats();
-            ftl.reset_device_stats();
-        }
-        // Never issue the first requests "in the past" of a device that is
-        // still draining warm-up traffic: that would bill warm-up queueing to
-        // the measured phase.
-        let start = self.config.start.max(ftl.drain_time());
-        let page_size = ftl.device().geometry().page_size;
-        let tracing = ftl.tracing();
-        let mut host_spans: Vec<HostSpan> = Vec::new();
-        let wall = crate::wallclock::WallTimer::start();
-
-        let mut ready: BinaryHeap<Reverse<(SimTime, usize)>> = (0..workload.streams())
-            .map(|s| Reverse((start, s)))
-            .collect();
-        let mut latencies = LatencyHistogram::new();
-        let mut requests = 0u64;
-        let mut read_pages = 0u64;
-        let mut write_pages = 0u64;
-        let mut bytes = 0u64;
-        let mut last_completion = start;
-
-        while let Some(Reverse((issue, stream))) = ready.pop() {
-            let Some(req) = workload.next_request(stream) else {
-                continue; // stream exhausted; do not re-queue
-            };
-            let completion = ftl.submit(req, issue);
-            latencies.record(completion - issue);
-            requests += 1;
-            bytes += req.bytes(page_size);
-            match req.op {
-                HostOp::Read => read_pages += u64::from(req.pages),
-                HostOp::Write => write_pages += u64::from(req.pages),
-            }
-            if tracing {
-                host_spans.push(HostSpan {
-                    arrival: issue,
-                    issue,
-                    completion,
-                    lane: stream as u32,
-                    shard: 0,
-                    write: req.op == HostOp::Write,
-                    pages: req.pages,
-                    tenant: req.tenant,
-                });
-            }
-            last_completion = last_completion.max(completion);
-            ready.push(Reverse((completion, stream)));
-        }
-
-        let wall = wall.elapsed();
-        let trace = if tracing {
-            assemble_trace(ftl, &host_spans)
+        });
+        let background = TenantClass::background(u32::MAX);
+        let policy = TenantPolicy::new(classes.chain([background]).collect());
+        let arbiters = if isolate {
+            (0..shards).map(|_| TenantArbiter::new(&policy)).collect()
         } else {
             Vec::new()
         };
-        RunResult {
-            ftl_name: ftl.name().to_string(),
-            requests,
-            read_pages,
-            write_pages,
-            bytes,
-            elapsed: last_completion - start,
-            latencies,
-            queueing: LatencyHistogram::new(),
-            stats: ftl.stats().clone(),
-            device: ftl.device_stats(),
-            profile: SelfProfile {
-                wall,
-                requests,
-                trace_events: trace.len() as u64,
-            },
-            trace,
+        Backlogs {
+            arbiters,
+            yielded: Vec::new(),
+            next: vec![None; n],
+            queues: (0..shards).map(|_| vec![VecDeque::new(); n]).collect(),
+            free_at: vec![SimTime::ZERO; shards],
+            tenants,
         }
+    }
+
+    /// Draws tenant `t`'s next arrival, `after` its previous one.
+    fn arrive(&mut self, t: usize, after: SimTime) {
+        self.next[t] = self
+            .tenants
+            .next_request(t)
+            .map(|(gap, req)| (after + gap, req));
+    }
+
+    fn next(&mut self, map: ShardMap) -> Option<Admitted> {
+        loop {
+            // The next arrival across tenants (earliest time, lowest tenant).
+            let arrival = self
+                .next
+                .iter()
+                .enumerate()
+                .filter_map(|(t, next)| next.map(|(at, _)| (at, t)))
+                .min();
+            // The next dispatch opportunity across shards (earliest time,
+            // lowest shard).
+            let dispatch = self
+                .queues
+                .iter()
+                .enumerate()
+                .filter_map(|(s, queues)| {
+                    let earliest = queues
+                        .iter()
+                        .filter_map(|q| q.front().map(|&(at, _)| at))
+                        .min()?;
+                    Some((self.free_at[s].max(earliest), s))
+                })
+                .min();
+            match (arrival, dispatch) {
+                // Arrivals first on ties, so every request arriving at or
+                // before a dispatch instant is backlogged (and eligible) by
+                // the time the pick happens.
+                (Some((at, t)), d) if d.is_none_or(|(d, _)| at <= d) => {
+                    let (_, req) = self.next[t].take().expect("arrival slot is present");
+                    self.queues[map.shard_of(req.lpn)][t].push_back((at, req));
+                    self.arrive(t, at);
+                }
+                (_, Some((d, s))) => {
+                    // The tenants whose queue head has arrived by `d`.
+                    let queues = &self.queues[s];
+                    let eligible = |t: usize| {
+                        let head = queues.get(t)?.front()?.0;
+                        (head <= d).then_some((head, t))
+                    };
+                    let (_, first) = (0..queues.len())
+                        .filter_map(eligible)
+                        .min()
+                        .expect("a tenant is eligible at dispatch time");
+                    let winner = match self.arbiters.get_mut(s) {
+                        // Host-level admission is one slot per shard: every
+                        // eligible tenant contends for it.
+                        Some(arbiter) => {
+                            let present = |c| eligible(c).is_some();
+                            let picked = arbiter.decide(present, |_, _| true, &mut self.yielded);
+                            picked.expect("an eligible tenant wins").winner
+                        }
+                        None => first,
+                    };
+                    let (arrival, req) = self.queues[s][winner]
+                        .pop_front()
+                        .expect("winner has a head");
+                    return Some(Admitted {
+                        req,
+                        arrival,
+                        dispatch: d,
+                        slot: s,
+                    });
+                }
+                _ => return None,
+            }
+        }
+    }
+}
+
+/// The host event loop behind every [`Runner`] entry point. `map` names the
+/// shard that serves each request (a one-shard map for a plain [`Ftl`]);
+/// returns the run and its lanes.
+fn drive<F: Ftl + ?Sized>(
+    ftl: &mut F,
+    map: ShardMap,
+    mut admission: Admission<'_>,
+) -> (RunResult, Vec<Lane>) {
+    ftl.reset_stats();
+    ftl.reset_device_stats();
+    // Never issue the first requests "in the past" of a device that is
+    // still draining warm-up traffic: that would bill warm-up queueing to
+    // the measured phase.
+    let start = ftl.drain_time();
+    let page_size = ftl.device().geometry().page_size;
+    let tracing = ftl.tracing();
+    let wall = crate::wallclock::WallTimer::start();
+    admission.begin(start);
+    // Whether a host queue bounds the run, how many lanes it has (one per
+    // tenant under tenant admission, per serving shard otherwise) and
+    // whether spans report serving shards rather than slots as lanes.
+    let by_tenant = matches!(admission, Admission::Tenants(_));
+    let (bounded, lanes, shard_spans) = match &admission {
+        Admission::Closed {
+            bounded,
+            shard_spans,
+            ..
+        } => (*bounded, map.shards(), *shard_spans),
+        Admission::Open { .. } => (false, map.shards(), false),
+        Admission::Tenants(backlogs) => (true, backlogs.next.len(), true),
+    };
+    let mut lanes: Vec<Lane> = (0..lanes).map(|_| Lane::default()).collect();
+    let mut queueing = LatencyHistogram::new();
+    let mut spans: Vec<TraceEvent> = Vec::new();
+    let mut last_completion = start;
+
+    while let Some(admitted) = admission.next(map) {
+        let (issue, completion) = admission.serve(ftl, &admitted);
+        let Admitted { req, arrival, .. } = admitted;
+        let shard = map.shard_of(req.lpn);
+        let lane = if by_tenant {
+            req.tenant as usize
+        } else {
+            shard
+        };
+        let lane = &mut lanes[lane];
+        lane.requests += 1;
+        lane.latencies.record(completion - arrival);
+        match req.op {
+            HostOp::Read => lane.read_pages += u64::from(req.pages),
+            HostOp::Write => lane.write_pages += u64::from(req.pages),
+        }
+        if bounded {
+            queueing.record(issue - arrival);
+        }
+        if tracing {
+            spans.push(TraceEvent {
+                start: arrival,
+                end: completion,
+                // The exporters rebase each shard's timeline onto its own
+                // epoch, so a span must ride its serving shard's (shard 0
+                // where the runner drives a plain `Ftl`).
+                shard: shard as u32,
+                data: TraceData::HostRequest {
+                    req: spans.len() as u64,
+                    lane: if shard_spans { shard } else { admitted.slot } as u32,
+                    write: req.op == HostOp::Write,
+                    pages: req.pages,
+                    tenant: req.tenant,
+                    issue,
+                },
+            });
+        }
+        last_completion = last_completion.max(completion);
+    }
+
+    let wall = wall.elapsed();
+    // The FTL's device/scheduler/GC events, the GC instants and one
+    // flow-linked span per served request, stably sorted by start time so
+    // identical inputs produce byte-identical traces.
+    let mut trace = Vec::new();
+    if tracing {
+        trace = ftl.take_trace();
+        push_gc_instants(&mut trace, ftl.stats());
+        trace.append(&mut spans);
+        trace.sort_by_key(|e| e.start);
+    }
+    // Sorting each lane first makes every merge a linear pass.
+    let mut latencies = LatencyHistogram::new();
+    for lane in &mut lanes {
+        lane.latencies.finalize();
+        latencies.merge(&lane.latencies);
+    }
+    let requests = lanes.iter().map(|l| l.requests).sum();
+    let read_pages: u64 = lanes.iter().map(|l| l.read_pages).sum();
+    let write_pages: u64 = lanes.iter().map(|l| l.write_pages).sum();
+    let result = RunResult {
+        ftl_name: ftl.name().to_string(),
+        requests,
+        read_pages,
+        write_pages,
+        bytes: (read_pages + write_pages) * u64::from(page_size),
+        elapsed: last_completion - start,
+        latencies,
+        queueing,
+        stats: ftl.stats().clone(),
+        device: ftl.device_stats(),
+        profile: SelfProfile {
+            wall,
+            requests,
+            trace_events: trace.len() as u64,
+        },
+        trace,
+    };
+    (result, lanes)
+}
+
+/// Drives a [`Workload`] against an [`Ftl`] with the host models of the
+/// paper's evaluation. Every entry point resets the FTL and device
+/// statistics first, so a result covers only its measured phase, and starts
+/// once the device has drained earlier traffic.
+#[derive(Debug, Clone, Default)]
+pub struct Runner;
+
+impl Runner {
+    /// Creates a runner.
+    pub fn new() -> Self {
+        Runner
+    }
+
+    /// Runs the workload to completion in the closed loop and collects the
+    /// measurements: every stream (FIO thread) issues its next request as
+    /// soon as its previous one completes, and the runner always advances
+    /// the stream whose previous request finished earliest. Each stream has
+    /// its own host slot, so nothing queues at the host and
+    /// [`RunResult::queueing`] stays empty.
+    pub fn run(&self, ftl: &mut dyn Ftl, workload: &mut dyn Workload) -> RunResult {
+        let admission = Admission::closed(workload, None, false);
+        drive(ftl, ShardMap::new(1), admission).0
     }
 
     /// Runs the workload with a bounded host queue of `depth` slots, the
@@ -438,103 +476,21 @@ impl Runner {
         workload: &mut dyn Workload,
         depth: usize,
     ) -> RunResult {
-        assert!(depth > 0, "queue depth must be at least 1");
-        if self.config.reset_stats_before_run {
-            ftl.reset_stats();
-            ftl.reset_device_stats();
-        }
-        let start = self.config.start.max(ftl.drain_time());
-        let page_size = ftl.device().geometry().page_size;
-        let tracing = ftl.tracing();
-        let mut host_spans: Vec<HostSpan> = Vec::new();
-        let wall = crate::wallclock::WallTimer::start();
-
-        let mut queue = ssd_sched::QueuePair::new(depth);
-        let mut ready: BinaryHeap<Reverse<(SimTime, usize)>> = (0..workload.streams())
-            .map(|s| Reverse((start, s)))
-            .collect();
-        let mut latencies = LatencyHistogram::new();
-        let mut queueing = LatencyHistogram::new();
-        let mut requests = 0u64;
-        let mut read_pages = 0u64;
-        let mut write_pages = 0u64;
-        let mut bytes = 0u64;
-        let mut last_completion = start;
-
-        while let Some(Reverse((arrival, stream))) = ready.pop() {
-            let Some(req) = workload.next_request(stream) else {
-                continue; // stream exhausted; do not re-queue
-            };
-            let (issue, completion) = queue.submit(arrival, |issue| ftl.submit(req, issue));
-            latencies.record(completion - arrival);
-            queueing.record(issue - arrival);
-            requests += 1;
-            bytes += req.bytes(page_size);
-            match req.op {
-                HostOp::Read => read_pages += u64::from(req.pages),
-                HostOp::Write => write_pages += u64::from(req.pages),
-            }
-            if tracing {
-                host_spans.push(HostSpan {
-                    arrival,
-                    issue,
-                    completion,
-                    lane: stream as u32,
-                    shard: 0,
-                    write: req.op == HostOp::Write,
-                    pages: req.pages,
-                    tenant: req.tenant,
-                });
-            }
-            last_completion = last_completion.max(completion);
-            ready.push(Reverse((completion, stream)));
-        }
-
-        let wall = wall.elapsed();
-        let trace = if tracing {
-            assemble_trace(ftl, &host_spans)
-        } else {
-            Vec::new()
-        };
-        RunResult {
-            ftl_name: ftl.name().to_string(),
-            requests,
-            read_pages,
-            write_pages,
-            bytes,
-            elapsed: last_completion - start,
-            latencies,
-            queueing,
-            stats: ftl.stats().clone(),
-            device: ftl.device_stats(),
-            profile: SelfProfile {
-                wall,
-                requests,
-                trace_events: trace.len() as u64,
-            },
-            trace,
-        }
+        let admission = Admission::closed(workload, Some(depth), false);
+        drive(ftl, ShardMap::new(1), admission).0
     }
 
     /// Runs the workload through a sharded FTL frontend with a bounded host
     /// queue, recording a per-shard breakdown on top of everything
     /// [`Runner::run_qd`] measures.
     ///
-    /// The host model is identical to [`Runner::run_qd`] — `depth` slots
-    /// shared by all streams, recycled at the earliest completion — but each
-    /// request is also attributed to the shard that owns its first LPN, so
-    /// the result exposes per-shard request counts and latency distributions
-    /// (the aggregate histogram is their merge, which stays sorted and cheap
-    /// because each lane records in completion order). Shard imbalance and
-    /// per-engine queueing are exactly what the shard-scaling experiment
+    /// The host model is [`Runner::run_qd`]'s — `depth` slots shared by all
+    /// streams, recycled at the earliest completion — but each request is
+    /// also attributed to the shard that owns its first LPN, so the result
+    /// exposes per-shard request counts and latency distributions (the
+    /// aggregate histogram is their merge). Shard imbalance and per-engine
+    /// queueing are exactly what the shard-scaling experiment
     /// (`fig23_shard_scaling`) needs to explain its curves.
-    ///
-    /// Like [`Runner::run`] vs [`Runner::run_qd`], this deliberately repeats
-    /// the bounded-queue loop rather than sharing it: the two paths must
-    /// stay independently auditable, and the
-    /// `run_sharded_qd_agrees_with_run_qd_on_the_same_frontend` test pins
-    /// them together. Behavioral changes to the accounting in either must be
-    /// mirrored in the other.
     ///
     /// # Panics
     ///
@@ -545,98 +501,18 @@ impl Runner {
         workload: &mut dyn Workload,
         depth: usize,
     ) -> ShardedRunResult {
-        assert!(depth > 0, "queue depth must be at least 1");
-        if self.config.reset_stats_before_run {
-            ftl.reset_stats();
-            ftl.reset_device_stats();
-        }
-        let start = self.config.start.max(ftl.drain_time());
-        let page_size = ftl.device().geometry().page_size;
-        let tracing = ftl.tracing();
-        let mut host_spans: Vec<HostSpan> = Vec::new();
-        let wall = crate::wallclock::WallTimer::start();
-
-        let mut queue = ssd_sched::QueuePair::new(depth);
-        let mut ready: BinaryHeap<Reverse<(SimTime, usize)>> = (0..workload.streams())
-            .map(|s| Reverse((start, s)))
-            .collect();
-        let mut lanes: Vec<ShardLane> = (0..ftl.shard_count())
-            .map(|shard| ShardLane {
+        let map = *ftl.map();
+        let (result, lanes) = drive(ftl, map, Admission::closed(workload, Some(depth), true));
+        let lanes = lanes
+            .into_iter()
+            .enumerate()
+            .map(|(shard, lane)| ShardLane {
                 shard,
-                requests: 0,
-                latencies: LatencyHistogram::new(),
+                requests: lane.requests,
+                latencies: lane.latencies,
             })
             .collect();
-        let mut queueing = LatencyHistogram::new();
-        let mut requests = 0u64;
-        let mut read_pages = 0u64;
-        let mut write_pages = 0u64;
-        let mut bytes = 0u64;
-        let mut last_completion = start;
-
-        while let Some(Reverse((arrival, stream))) = ready.pop() {
-            let Some(req) = workload.next_request(stream) else {
-                continue; // stream exhausted; do not re-queue
-            };
-            let (issue, completion) = queue.submit(arrival, |issue| ftl.submit(req, issue));
-            let lane = ftl.map().shard_of(req.lpn);
-            lanes[lane].requests += 1;
-            lanes[lane].latencies.record(completion - arrival);
-            queueing.record(issue - arrival);
-            requests += 1;
-            bytes += req.bytes(page_size);
-            match req.op {
-                HostOp::Read => read_pages += u64::from(req.pages),
-                HostOp::Write => write_pages += u64::from(req.pages),
-            }
-            if tracing {
-                host_spans.push(HostSpan {
-                    arrival,
-                    issue,
-                    completion,
-                    lane: lane as u32,
-                    shard: lane as u32,
-                    write: req.op == HostOp::Write,
-                    pages: req.pages,
-                    tenant: req.tenant,
-                });
-            }
-            last_completion = last_completion.max(completion);
-            ready.push(Reverse((completion, stream)));
-        }
-
-        let wall = wall.elapsed();
-        let trace = if tracing {
-            assemble_trace(ftl, &host_spans)
-        } else {
-            Vec::new()
-        };
-        let mut latencies = LatencyHistogram::new();
-        for lane in &mut lanes {
-            lane.latencies.finalize();
-            latencies.merge(&lane.latencies);
-        }
-        ShardedRunResult {
-            result: RunResult {
-                ftl_name: ftl.name().to_string(),
-                requests,
-                read_pages,
-                write_pages,
-                bytes,
-                elapsed: last_completion - start,
-                latencies,
-                queueing,
-                stats: ftl.stats().clone(),
-                device: ftl.device_stats(),
-                profile: SelfProfile {
-                    wall,
-                    requests,
-                    trace_events: trace.len() as u64,
-                },
-                trace,
-            },
-            lanes,
-        }
+        ShardedRunResult { result, lanes }
     }
 
     /// Runs the workload with *open-loop* arrivals: requests arrive on a
@@ -658,9 +534,9 @@ impl Runner {
     /// # Panics
     ///
     /// Panics if `mean_interarrival` is zero.
-    pub fn run_open_loop(
+    pub fn run_open_loop<F: Ftl>(
         &self,
-        ftl: &mut dyn Ftl,
+        ftl: &mut ShardedFtl<F>,
         workload: &mut dyn Workload,
         mean_interarrival: Duration,
         seed: u64,
@@ -669,95 +545,24 @@ impl Runner {
             mean_interarrival > Duration::ZERO,
             "mean inter-arrival time must be positive"
         );
-        if self.config.reset_stats_before_run {
-            ftl.reset_stats();
-            ftl.reset_device_stats();
-        }
-        let start = self.config.start.max(ftl.drain_time());
-        let page_size = ftl.device().geometry().page_size;
-        let streams = workload.streams();
-        let tracing = ftl.tracing();
-        let mut host_spans: Vec<HostSpan> = Vec::new();
-        let wall = crate::wallclock::WallTimer::start();
-
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut latencies = LatencyHistogram::new();
-        let mut requests = 0u64;
-        let mut read_pages = 0u64;
-        let mut write_pages = 0u64;
-        let mut bytes = 0u64;
-        let mut arrival = start;
-        let mut last_completion = start;
-        let mut exhausted = 0usize;
-        let mut stream = 0usize;
-
-        while exhausted < streams {
-            let Some(req) = workload.next_request(stream) else {
-                exhausted += 1;
-                stream = (stream + 1) % streams;
-                continue;
-            };
-            exhausted = 0;
-            let issuing_stream = stream;
-            stream = (stream + 1) % streams;
-            let completion = ftl.submit(req, arrival);
-            latencies.record(completion - arrival);
-            requests += 1;
-            bytes += req.bytes(page_size);
-            match req.op {
-                HostOp::Read => read_pages += u64::from(req.pages),
-                HostOp::Write => write_pages += u64::from(req.pages),
-            }
-            if tracing {
-                host_spans.push(HostSpan {
-                    arrival,
-                    issue: arrival,
-                    completion,
-                    lane: issuing_stream as u32,
-                    shard: 0,
-                    write: req.op == HostOp::Write,
-                    pages: req.pages,
-                    tenant: req.tenant,
-                });
-            }
-            last_completion = last_completion.max(completion);
-            arrival += exponential(&mut rng, mean_interarrival);
-        }
-
-        let wall = wall.elapsed();
-        let trace = if tracing {
-            assemble_trace(ftl, &host_spans)
-        } else {
-            Vec::new()
+        let map = *ftl.map();
+        let admission = Admission::Open {
+            workload,
+            rng: StdRng::seed_from_u64(seed),
+            mean: mean_interarrival,
+            arrival: SimTime::ZERO,
+            stream: 0,
         };
-        RunResult {
-            ftl_name: ftl.name().to_string(),
-            requests,
-            read_pages,
-            write_pages,
-            bytes,
-            elapsed: last_completion - start,
-            latencies,
-            queueing: LatencyHistogram::new(),
-            stats: ftl.stats().clone(),
-            device: ftl.device_stats(),
-            profile: SelfProfile {
-                wall,
-                requests,
-                trace_events: trace.len() as u64,
-            },
-            trace,
-        }
+        drive(ftl, map, admission).0
     }
 
-    /// Runs a multi-tenant [`TenantSet`] against a sharded FTL with the
-    /// per-shard admission model of [`run_tenant_admission`]: tenant arrival
-    /// streams merge by arrival time, each shard serves one request at a
-    /// time, and the next tenant is picked by weighted per-tenant
-    /// arbitration (`isolate = true`: each tenant's spec weight and
-    /// starvation bound, one [`TenantArbiter`] per shard) or in plain FIFO
-    /// arrival order (`isolate = false`: the no-QoS baseline a namespace-
-    /// oblivious host would get).
+    /// Runs a multi-tenant [`TenantSet`] against a sharded FTL with
+    /// per-shard tenant admission: tenant arrival streams merge by arrival
+    /// time, each shard serves one request at a time, and the next tenant is
+    /// picked by weighted per-tenant arbitration (`isolate = true`: each
+    /// tenant's spec weight and starvation bound, one [`TenantArbiter`] per
+    /// shard) or in plain FIFO arrival order (`isolate = false`: the no-QoS
+    /// baseline a namespace-oblivious host would get).
     ///
     /// Per-tenant latencies are measured from the *true* arrival, so
     /// backlog queueing behind other tenants counts — compare a victim
@@ -769,70 +574,21 @@ impl Runner {
         tenants: &mut TenantSet,
         isolate: bool,
     ) -> TenantRunResult {
-        if self.config.reset_stats_before_run {
-            ftl.reset_stats();
-            ftl.reset_device_stats();
-        }
-        let start = self.config.start.max(ftl.drain_time());
-        let page_size = ftl.device().geometry().page_size;
-        let tracing = ftl.tracing();
-        let shards = ftl.map().shards();
-        let policy = isolate.then(|| tenant_policy(tenants));
         let map = *ftl.map();
-        let wall = crate::wallclock::WallTimer::start();
-
-        let TenantAdmission {
-            mut lanes,
-            host_spans,
-            queueing,
-            requests,
-            read_pages,
-            write_pages,
-            bytes,
-            last_completion,
-        } = run_tenant_admission(
-            tenants,
-            start,
-            shards,
-            |lpn| map.shard_of(lpn),
-            |req, at| ftl.submit(req, at),
-            policy.as_ref(),
-            tracing,
-            page_size,
-        );
-
-        let wall = wall.elapsed();
-        let trace = if tracing {
-            assemble_trace(ftl, &host_spans)
-        } else {
-            Vec::new()
-        };
-        let mut latencies = LatencyHistogram::new();
-        for lane in &mut lanes {
-            lane.latencies.finalize();
-            latencies.merge(&lane.latencies);
-        }
-        TenantRunResult {
-            result: RunResult {
-                ftl_name: ftl.name().to_string(),
-                requests,
-                read_pages,
-                write_pages,
-                bytes,
-                elapsed: last_completion - start,
-                latencies,
-                queueing,
-                stats: ftl.stats().clone(),
-                device: ftl.device_stats(),
-                profile: SelfProfile {
-                    wall,
-                    requests,
-                    trace_events: trace.len() as u64,
-                },
-                trace,
-            },
-            tenants: lanes,
-        }
+        let backlogs = Backlogs::new(tenants, map.shards(), isolate);
+        let (result, lanes) = drive(ftl, map, Admission::Tenants(backlogs));
+        let tenants = lanes
+            .into_iter()
+            .zip(0..)
+            .map(|(lane, tenant)| TenantLane {
+                tenant,
+                requests: lane.requests,
+                read_pages: lane.read_pages,
+                write_pages: lane.write_pages,
+                latencies: lane.latencies,
+            })
+            .collect();
+        TenantRunResult { result, tenants }
     }
 }
 
@@ -1117,9 +873,9 @@ mod tests {
     #[test]
     fn open_loop_latency_grows_with_offered_load() {
         let run = |mean_us: u64| {
-            let mut ftl = warmed_ftl(FtlKind::Ideal);
+            let mut ftl = warmed_sharded(FtlKind::Ideal, 1);
             let mut wl = FioWorkload::new(FioPattern::RandRead, 4000, 4, 1, 250, 23);
-            Runner::new().run_open_loop(ftl.as_mut(), &mut wl, Duration::from_micros(mean_us), 42)
+            Runner::new().run_open_loop(&mut ftl, &mut wl, Duration::from_micros(mean_us), 42)
         };
         // 1 request per 400us is far below tiny's capacity; 1 per 5us is far
         // above it (a 4-chip device serves roughly one read per 10us).
@@ -1176,9 +932,9 @@ mod tests {
     #[test]
     fn open_loop_arrivals_are_deterministic_per_seed() {
         let run = |seed: u64| {
-            let mut ftl = warmed_ftl(FtlKind::Ideal);
+            let mut ftl = warmed_sharded(FtlKind::Ideal, 1);
             let mut wl = FioWorkload::new(FioPattern::RandRead, 4000, 2, 1, 200, 29);
-            Runner::new().run_open_loop(ftl.as_mut(), &mut wl, Duration::from_micros(50), seed)
+            Runner::new().run_open_loop(&mut ftl, &mut wl, Duration::from_micros(50), seed)
         };
         let a = run(7);
         let b = run(7);
@@ -1254,22 +1010,5 @@ mod tests {
             assert_eq!(x.read_pages, y.read_pages);
             assert_eq!(x.write_pages, y.write_pages);
         }
-    }
-
-    #[test]
-    fn keep_stats_option_accumulates() {
-        let mut ftl = FtlKind::Dftl.build(SsdConfig::tiny());
-        let mut fill = FioWorkload::new(FioPattern::SeqWrite, 400, 1, 8, 50, 1);
-        Runner::new().run(ftl.as_mut(), &mut fill);
-        let mut more = FioWorkload::new(FioPattern::SeqWrite, 400, 1, 8, 50, 1);
-        let cfg = RunnerConfig {
-            reset_stats_before_run: false,
-            start: SimTime::ZERO,
-        };
-        let result = Runner::with_config(cfg).run(ftl.as_mut(), &mut more);
-        assert_eq!(
-            result.stats.host_write_pages, 800,
-            "stats accumulate when not reset"
-        );
     }
 }

@@ -11,7 +11,8 @@
 //!   [`ssd_sim::SimTime`] (ties break in insertion order),
 //! * [`QueuePair`] — an NVMe-style bounded submission/completion queue pair
 //!   modelling the host interface at a configurable queue depth; the
-//!   experiment harness threads this through its `run_qd` mode,
+//!   experiment harness's closed-loop host model admits every request
+//!   through one,
 //! * [`SerialEngine`] — one FTL translation core: busy from each request's
 //!   issue to its completion, requests queueing FIFO behind it,
 //! * [`MultiIssuer`] — a bank of serial issue engines modelling the FTL

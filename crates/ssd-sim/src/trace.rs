@@ -144,7 +144,8 @@ pub enum TraceData {
     HostRequest {
         /// Dense request index in dispatch order.
         req: u64,
-        /// The lane (shard) that served the request, when known.
+        /// The host lane of the request: the serving shard or the issuing
+        /// stream, depending on the host model.
         lane: u32,
         /// Whether the request was a write.
         write: bool,

@@ -27,7 +27,7 @@ pub mod prelude {
     pub use baselines::{Dftl, IdealFtl, LeaFtl, Tpftl};
     pub use ftl_base::{Ftl, FtlStats, HostOp, HostRequest};
     pub use ftl_shard::{ShardMap, ShardedFtl};
-    pub use harness::{FtlKind, Runner, RunnerConfig, ShardedRunResult};
+    pub use harness::{FtlKind, Runner, ShardedRunResult};
     pub use learnedftl::{LearnedFtl, LearnedFtlConfig};
     pub use metrics::{EnergyModel, LatencyHistogram};
     pub use ssd_sched::{IoScheduler, MultiIssuer, QueuePair, SchedConfig};

@@ -4,8 +4,8 @@
 //! unsharded FTL bit for bit) and the open-loop arrival runner.
 
 use learnedftl_suite::prelude::*;
-use ssd_sim::{Duration, Geometry};
-use workloads::{warmup, FioPattern, FioWorkload};
+use ssd_sim::{Duration, Geometry, TraceData};
+use workloads::{warmup, FioPattern, FioWorkload, Workload};
 
 /// A quick-scale device every shard count in {1, 2, 4} divides cleanly:
 /// 4 channels × 2 chips, with 256-page blocks so a 2-chip channel-group
@@ -108,6 +108,43 @@ fn open_loop_reports_latency_under_offered_load() {
         heavy.latencies.mean(),
         light.latencies.mean()
     );
+}
+
+#[test]
+fn traced_open_loop_puts_each_host_span_on_its_serving_shard() {
+    // Regression: open-loop runs on a sharded frontend used to tag every host
+    // span as shard 0, so the analysis piled all requests onto one shard.
+    let (streams, per_stream, seed) = (4, 50, 13);
+    let mut ftl = warmed_sharded(FtlKind::Dftl, 2);
+    ftl.set_tracing(true);
+    let map = *ftl.map();
+    let fio = |pages| FioWorkload::new(FioPattern::RandRead, pages, streams, 1, per_stream, seed);
+    let mut wl = fio(ftl.logical_pages());
+    let run = Runner::new().run_open_loop(&mut ftl, &mut wl, Duration::from_micros(50), 17);
+
+    // Open-loop arrivals cycle round-robin over the streams, so a twin
+    // workload replayed in that order yields each request's first LPN.
+    let mut twin = fio(ftl.logical_pages());
+    let lpns: Vec<u64> = (0..streams * per_stream as usize)
+        .map(|k| {
+            twin.next_request(k % streams)
+                .expect("stream has requests")
+                .lpn
+        })
+        .collect();
+    let mut spans = 0;
+    for event in &run.trace {
+        if let TraceData::HostRequest { req, .. } = event.data {
+            let expected = map.shard_of(lpns[req as usize]) as u32;
+            assert_eq!(event.shard, expected, "request {req}");
+            spans += 1;
+        }
+    }
+    assert_eq!(spans, run.requests);
+
+    let analysis = metrics::analyze(&run.trace);
+    let busy = analysis.shards.iter().filter(|s| s.requests > 0).count();
+    assert!(busy > 1, "requests must spread over the shards, saw {busy}");
 }
 
 #[test]
